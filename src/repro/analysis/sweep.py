@@ -72,7 +72,6 @@ from typing import (
 
 import numpy as np
 
-from .. import constants
 from ..core.policies import Policy
 from ..core.simulator import (
     DEFAULT_NX,
@@ -687,10 +686,6 @@ def _resolve_shared_simulator(
         )
     key = ref.model_key
     model = _shared_models.get(key)
-    if model is not None:
-        # Back to the fresh-construction flow state; warm factor caches
-        # stay valid because they are keyed by flow signature.
-        model.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
     if ref.scenario is not None:
         rom_store = None
         if model is None and cache_dir is not None:

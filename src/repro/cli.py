@@ -251,6 +251,16 @@ def cmd_jobs(args: argparse.Namespace) -> int:
                 )
             )
             return 0
+        if args.job:
+            job = client.status(args.job)["job"]
+            for key in ("job_id", "state", "attempts", "label", "error"):
+                print(f"{key}: {job[key]}")
+            print(f"worker_pid: {job['worker_pid']}")
+            print(
+                f"worker_jobs_served: {job['worker_jobs_served']} "
+                "(this job included)"
+            )
+            return 0
         if args.result:
             print(
                 _json.dumps(client.result(args.result), indent=2, sort_keys=True)
@@ -558,6 +568,14 @@ def cmd_top(args: argparse.Namespace) -> int:
             f"wal {value('service.wal.bytes') / 1024:.1f} KiB | "
             f"breakers open {value('service.breaker.open'):.0f}"
         )
+        for worker in snap["workers"].get("pool", ()):
+            print(
+                f"worker {worker['slot']} pid {worker['pid']}: "
+                f"{worker['job_id'] or 'idle'} | "
+                f"{worker['jobs_served']} jobs served | "
+                f"factor bank {worker['bank_bytes'] / 2**20:.1f} MiB | "
+                f"rss {worker['rss_mb']:.0f} MB"
+            )
         latency = [
             (name.rsplit(".", 1)[-1], entry)
             for name, entry in sorted(metrics.items())
@@ -1000,6 +1018,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     jobs = sub.add_parser(
         "jobs", help="list/inspect/cancel jobs on a running service"
+    )
+    jobs.add_argument(
+        "job",
+        nargs="?",
+        metavar="JOB_ID",
+        help="print one job's state and the warm worker that ran it",
     )
     jobs.add_argument("--root", default=None, help="service state directory")
     jobs.add_argument(

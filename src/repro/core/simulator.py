@@ -124,7 +124,9 @@ class SystemSimulator:
         ``nx``/``ny`` are ignored then).  Shared-memory fan-out workers
         pass their cached per-stack model so repeated short jobs skip
         the assembly cost entirely — warm factor caches carry over and
-        stay valid because they are keyed by flow signature.
+        stay valid because they are keyed by flow signature.  Every run
+        starts from the fresh-construction flow state, so a reused
+        model gives the same answer as a fresh one.
     """
 
     def __init__(
@@ -272,6 +274,9 @@ class SystemSimulator:
         power_hist,
     ) -> SimulationResult:
         self.policy.reset()
+        # A reused model still carries the last run's flow command;
+        # start from the fresh-construction flow state instead.
+        self.model.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
         self.model.reset_cooling_state()
         stepper = self._initial_state()
         energy = EnergyAccount()

@@ -128,6 +128,14 @@ class Tracer:
         except ValueError:
             pass
 
+    def drop_sinks(self) -> None:
+        """Detach every sink without closing it.
+
+        For a forked child: the sinks (and their open files) belong to
+        the parent, which keeps writing through them.
+        """
+        self._sinks = []
+
     def emit(self, record: dict) -> None:
         """Hand one record to every attached sink."""
         for sink in self._sinks:

@@ -31,6 +31,7 @@ from ..geometry.stack import CoolingMode, StackDesign, build_3d_mpsoc
 from ..obs.manifest import build_manifest, write_manifest
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
+from ..thermal.bank import FactorBank
 from ..thermal.krylov import KrylovOptions
 from ..thermal.model import CompactThermalModel
 from ..workload.generators import (
@@ -254,12 +255,15 @@ def build_model(
     *,
     stack: Optional[StackDesign] = None,
     rom_store=None,
+    factor_bank: Optional[FactorBank] = None,
 ) -> CompactThermalModel:
     """The compact thermal model a scenario's stack + solver spec define.
 
     On the ``"rom"`` backend the model carries the scenario's ROM
     budget and — when a ``rom_store`` is supplied — persists/reuses the
     serialized basis under the scenario's :meth:`Scenario.model_hash`.
+    A caller-owned ``factor_bank`` receives the steady factors under
+    the same hash.
     """
     solver: SolverSpec = scenario.solver
     cooling = None
@@ -288,6 +292,8 @@ def build_model(
         rom_store=rom_store,
         rom_key=scenario.model_hash() if solver.backend == "rom" else None,
         cooling=cooling,
+        bank=factor_bank,
+        bank_key=scenario.model_hash() if factor_bank is not None else None,
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -70,6 +71,8 @@ class Job:
     updated_at: float = 0.0
     error: Optional[str] = None
     worker_pid: Optional[int] = None
+    # Jobs the job's warm worker had served, this one included.
+    worker_jobs: Optional[int] = None
     attached: int = 0
     # Trace-context propagation (DESIGN.md section 16): the id minted
     # by `repro submit` and the client's wall-clock submit time, both
@@ -77,6 +80,11 @@ class Job:
     trace_id: Optional[str] = None
     client_t0: Optional[float] = None
     profile: bool = False
+
+    @cached_property
+    def model_hash(self) -> str:
+        """The scenario's :meth:`Scenario.model_hash` (its stack)."""
+        return self.scenario.model_hash()
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe public view (the protocol's ``status`` payload)."""
@@ -90,6 +98,7 @@ class Job:
             "updated_at": self.updated_at,
             "error": self.error,
             "worker_pid": self.worker_pid,
+            "worker_jobs_served": self.worker_jobs,
             "attached": self.attached,
             "trace_id": self.trace_id,
         }
@@ -341,8 +350,14 @@ class JobStore:
         attempts: Optional[int] = None,
         error: Optional[str] = None,
         worker_pid: Optional[int] = None,
+        worker_jobs: Optional[int] = None,
     ) -> Job:
-        """Journal then apply one state change (WAL-first, always)."""
+        """Journal then apply one state change (WAL-first, always).
+
+        ``worker_pid`` / ``worker_jobs`` name the worker that runs (or
+        ran) the job; like the rest of the worker view they are not
+        journaled, and any transition that omits them clears them.
+        """
         job = self.jobs[job_id]
         if job.state.terminal and state != job.state:
             raise ValueError(
@@ -356,6 +371,7 @@ class JobStore:
             extra["error"] = error
         self._journal_transition(job, state, **extra)
         job.worker_pid = worker_pid
+        job.worker_jobs = worker_jobs
         if state in _ACTIVE:
             self._active_by_hash[job.content_hash] = job.job_id
         else:

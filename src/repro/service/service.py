@@ -69,7 +69,7 @@ class ScenarioJobService:
     address:
         Socket override — a path, or ``host:port`` for TCP.
     max_workers:
-        Concurrent worker processes.
+        Warm worker processes (see :class:`Supervisor`).
     retry / breaker / timeout_s / heartbeat_timeout_s:
         Supervision policy (see :class:`Supervisor`).
     fsync:
@@ -272,10 +272,7 @@ class ScenarioJobService:
             "pid": os.getpid(),
             "uptime_s": time.time() - self.started_at,
             "counts": self.store.counts(),
-            "workers": {
-                "busy": self.supervisor.busy,
-                "max": self.supervisor.max_workers,
-            },
+            "workers": self._workers_view(),
             "breaker": self.supervisor.breaker.snapshot(),
             "recovery": {
                 "jobs": recovery.jobs,
@@ -283,6 +280,13 @@ class ScenarioJobService:
                 "corrupt_tail_segments": recovery.corrupt_tail_segments,
                 "dropped_bytes": recovery.dropped_bytes,
             },
+        }
+
+    def _workers_view(self) -> dict:
+        return {
+            "busy": self.supervisor.busy,
+            "max": self.supervisor.max_workers,
+            "pool": self.supervisor.pool(),
         }
 
     def _op_metrics(self, request: dict) -> dict:
@@ -304,10 +308,7 @@ class ScenarioJobService:
             },
             "watchdog": watchdog.snapshot() if watchdog else {},
             "counts": self.store.counts(),
-            "workers": {
-                "busy": self.supervisor.busy,
-                "max": self.supervisor.max_workers,
-            },
+            "workers": self._workers_view(),
             "breaker": self.supervisor.breaker.snapshot(),
         }
 
@@ -441,21 +442,27 @@ class ScenarioJobService:
                 except asyncio.TimeoutError:
                     pass
         finally:
-            # Graceful drain: finish what is running (bounded), journal
-            # the rest back to PENDING, stop answering, release the WAL.
-            self.supervisor.drain(self.drain_timeout_s)
-            await self._server.stop()
             try:
-                self.ring.flush(self.metrics_path)
-            except OSError:
-                pass
-            if self._http_server is not None:
-                self._http_server.shutdown()
-                self._http_server.server_close()
-                self._http_server = None
-            tracer.remove_sink(events_sink)
-            events_sink.close()
-            self.store.close()
+                # Graceful drain: finish what is running (bounded),
+                # journal the rest back to PENDING.
+                self.supervisor.drain(self.drain_timeout_s)
+            finally:
+                # Whatever the drain managed, no worker outlives the
+                # service: a live worker would hang interpreter exit.
+                # Then stop answering and release the WAL.
+                self.supervisor.shutdown()
+                await self._server.stop()
+                try:
+                    self.ring.flush(self.metrics_path)
+                except OSError:
+                    pass
+                if self._http_server is not None:
+                    self._http_server.shutdown()
+                    self._http_server.server_close()
+                    self._http_server = None
+                tracer.remove_sink(events_sink)
+                events_sink.close()
+                self.store.close()
 
     def serve_forever(self) -> int:
         """Blocking entry point used by ``repro serve``; returns 0."""

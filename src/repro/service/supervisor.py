@@ -1,15 +1,45 @@
-"""Worker supervision: heartbeats, retries, poison-job quarantine.
+"""Worker supervision: a warm worker pool, heartbeats, retries, quarantine.
 
 The supervisor owns the only part of the service that can die
-unexpectedly — the worker processes actually solving scenarios.  Each
-job runs in its own ``multiprocessing.Process`` (full crash isolation:
-a segfault, OOM kill or ``os._exit`` takes down one job, not the
-pool), reporting through a one-way pipe:
+unexpectedly — the processes actually solving scenarios.  Each warm
+worker is a long-lived ``multiprocessing.Process`` that keeps, across
+jobs,
 
-* ``hb`` heartbeats every few hundred milliseconds from a worker-side
-  thread — a worker whose heartbeat goes stale is hung, not slow, and
-  is killed and retried;
-* a final ``done`` / ``error`` message carrying the outcome.
+* one :class:`~repro.thermal.bank.FactorBank` of steady and transient
+  LU factors, holding no more bytes than the largest working set one
+  job has pinned;
+* the thermal models it assembled, reused by ``model_hash``.
+
+It runs each job in a *job process* forked from itself
+(:func:`worker_main`), which inherits the bank and models, so a warm
+job skips assembly and factorisation.  Crash isolation is per job: a
+segfault, OOM kill or ``os._exit`` takes down one job process, never
+the worker or the service.  A job process ends by handing its bank's
+record back, and the worker refactorises the job's new entries from
+the recorded matrices (:meth:`FactorBank.adopt`), so its bank learns
+exactly what the job computed.
+
+Dispatch has soft ``model_hash`` affinity: an idle worker takes the
+oldest pending job whose stack its bank already holds, otherwise the
+oldest pending job, so no worker idles while jobs wait.  A worker is
+recycled (stopped, joined, replaced on demand) after
+:data:`WORKER_MAX_JOBS` jobs or once its resident set passes
+:data:`WORKER_RSS_CAP_MB`, so a leak stays bounded.  Killing a worker
+costs only its cache.
+
+Each worker talks to the supervisor over one duplex pipe:
+
+* ``job`` / ``stop`` messages go down, one job at a time;
+* ``hb`` heartbeats come up every few hundred milliseconds from a
+  thread of the job process — a job whose heartbeat goes stale is
+  hung, not slow; its worker is killed and the job retried;
+* the job process sends a final ``done`` / ``error`` message with the
+  outcome; the worker adds ``died`` when the job process died first;
+* a ``state`` message (bank bytes per stack, RSS) follows once the
+  worker has learnt from its job, and once at start-up.
+
+The supervisor hands a worker its next job as soon as the last one
+is done; the worker reads it after learning.
 
 Failure policy, in order of escalation:
 
@@ -29,19 +59,22 @@ Failure policy, in order of escalation:
 ``drain()`` implements graceful SIGTERM shutdown: stop dispatching,
 let in-flight jobs finish (bounded), re-enqueue whatever could not —
 the WAL already holds every pending job, so "checkpoint the rest" is
-free.
+free — then stop and join every worker, so the workers' resource
+usage reaches the service's ``getrusage``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import random
+import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.sweep import jittered_delay
 from ..obs import capture_telemetry, is_obs_payload
@@ -56,8 +89,11 @@ from ..obs.live import (
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
-from ..scenario.runner import Runner
+from ..scenario.runner import Runner, build_model
 from ..scenario.spec import Scenario
+from ..thermal.bank import FactorBank, JobRecord
+from ..thermal.model import CompactThermalModel
+from ..thermal.solver import rebuild_bank_entry
 from .jobs import Job, JobState, JobStore
 
 HEARTBEAT_INTERVAL_S = 0.2
@@ -65,6 +101,18 @@ HEARTBEAT_INTERVAL_S = 0.2
 
 TEST_DELAY_ENV = "REPRO_SERVICE_TEST_DELAY_S"
 """Chaos hook: seconds a worker sleeps before solving (see tests/chaos.py)."""
+
+WORKER_MAX_JOBS = 1000
+"""Jobs a warm worker serves before it is recycled."""
+
+WORKER_RSS_CAP_MB = 1024.0
+"""Resident set [MB] past which a warm worker is recycled after its job."""
+
+WORKER_STOP_TIMEOUT_S = 10.0
+"""Time a stopped worker gets to exit before it is killed."""
+
+_PARENT_CHECK_S = 0.5
+"""How often an idle worker checks that the service is still alive."""
 
 
 def scenario_class(scenario: Scenario) -> str:
@@ -96,8 +144,266 @@ def _append_run_log(path: str, payload: dict) -> None:
         os.close(fd)
 
 
+# ---------------------------------------------------------------------------
+# worker side
+# ---------------------------------------------------------------------------
+
+
+def _resident_mb() -> float:
+    """This process's resident set [MB] (its peak where /proc is absent)."""
+    try:
+        with open("/proc/self/statm", "rb") as handle:
+            pages = int(handle.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except (OSError, ValueError, IndexError):
+        import resource
+
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+_M_MMAP_THRESHOLD = -3  # glibc mallopt parameter number
+_MMAP_THRESHOLD_BYTES = 128 * 1024  # glibc's own starting value
+
+
+def _pin_mmap_threshold() -> None:
+    """Keep large blocks out of the heap for this process's lifetime.
+
+    glibc serves blocks above the mmap threshold with their own
+    mappings, which go back to the OS when freed, but raises the
+    threshold each time such a block is freed.  In a worker that keeps
+    evicting and refactorising multi-megabyte LU factors the factors
+    then land on the heap, which fragments: on the service benchmark's
+    job mix a worker's resident set drifted 40-50 MB above that of a
+    worker holding the same bank with the threshold pinned.  Setting
+    the threshold (at glibc's own starting value) turns the adjustment
+    off.  Not glibc: no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
+def _detach_from_service() -> None:
+    """Undo what a forked worker inherits from the service process.
+
+    The service's tracer sinks (its ``events.jsonl`` log) would record
+    every worker span a second time, raw, beside the stitched copy the
+    supervisor ingests, and its signal wakeup fd points into the
+    service's event loop.  SIGTERM and SIGINT are ignored: a terminal
+    ^C or a service manager's SIGTERM reaches the whole process group,
+    and the service lets in-flight jobs finish and stops its workers
+    itself when it drains.  A worker the service gives up on gets
+    SIGKILL.
+    """
+    get_tracer().drop_sinks()
+    try:
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except (ValueError, OSError):
+        pass
+
+
+def _next_message(conn, service_pid: int) -> Optional[dict]:
+    """The supervisor's next message; ``None`` once the service is gone."""
+    while True:
+        try:
+            if conn.poll(_PARENT_CHECK_S):
+                return conn.recv()
+        except (EOFError, OSError):
+            return None
+        if os.getppid() != service_pid:
+            return None
+
+
+_PR_SET_PDEATHSIG = 1  # Linux prctl option
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """Have the kernel SIGKILL this job process when its worker dies.
+
+    A warm worker that is killed (kill -9, a hang, a cancel) must not
+    leave its job process solving on; outside Linux only the check
+    below runs.
+    """
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError):
+        pass
+    if os.getppid() != parent_pid:  # the worker died before the prctl
+        os._exit(1)
+
+
+class _WarmState:
+    """What a warm worker keeps across jobs: factor bank and models."""
+
+    def __init__(self) -> None:
+        self.bank = FactorBank()
+        self.models: Dict[str, CompactThermalModel] = {}
+        self.adopted = 0
+
+    def describe(self) -> dict:
+        return {
+            "bank_bytes": self.bank.resident_bytes,
+            "bank_stacks": {
+                str(key): nbytes
+                for key, nbytes in self.bank.stack_bytes().items()
+            },
+            "factors_adopted": self.adopted,
+            "rss_mb": _resident_mb(),
+        }
+
+    def prepare(self, scenario: Scenario) -> Optional[CompactThermalModel]:
+        """The job's model on this bank, assembled on first use.
+
+        The worker prepares the model of a job it will learn from
+        before forking, so later job processes inherit it; a guest's
+        job process prepares its own, so its factors still obey the
+        bank's cap.  Iterative, AMG and ROM models carry warm-start
+        state between solves, so only direct-backend models are kept
+        (``None`` otherwise): a reused direct model answers bitwise
+        like a fresh one.  A spec that fails to build gets ``None``;
+        its run reports the error.
+        """
+        model_hash = scenario.model_hash()
+        if model_hash in self.models or scenario.solver.backend not in (
+            "auto",
+            "direct",
+        ):
+            return self.models.get(model_hash)
+        try:
+            model = build_model(scenario, factor_bank=self.bank)
+        except Exception:
+            return None
+        if model.steady_backend() != "direct":
+            return None
+        self.models[model_hash] = model
+        return model
+
+    def learn(self, record: JobRecord) -> None:
+        """Adopt what a job process did to its copy of the bank."""
+        self.adopted += self.bank.adopt(record, rebuild_bank_entry)
+        self._prune()
+
+    def forget(self, model_hash: str) -> None:
+        """Drop one stack's model and factors (its job process died)."""
+        self.bank.drop(model_hash, "steady")
+        self.bank.drop(model_hash, "transient")
+        self._prune()
+
+    def _prune(self) -> None:
+        """Keep a model only while the bank holds factors of its stack."""
+        for stale in set(self.models) - self.bank.stack_bytes().keys():
+            del self.models[stale]
+
+    def serve(self, conn, message: dict, cache_dir: str, run_log) -> None:
+        """Run one job message in a forked job process, then learn from it.
+
+        The job process inherits the bank and models, reports straight
+        to the supervisor over ``conn`` and ends by sending its bank
+        record back here, which the worker adopts unless the message
+        says the job is a guest (``learn`` false).  If the job process
+        dies first, the worker tells the supervisor (``died``) and
+        forgets that stack: what the job touched may be what killed
+        it.
+        """
+        job_id = str(message["job_id"])
+        model_hash: Optional[str] = None
+        learn = message.get("learn", True)
+        try:
+            scenario = Scenario.from_dict(message["scenario"])
+            model_hash = scenario.model_hash()
+            if learn:
+                self.prepare(scenario)
+        except Exception:
+            pass  # the job process reports the bad spec
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        worker_pid = os.getpid()
+        pid = os.fork()
+        if pid == 0:  # the job process
+            code = 1
+            try:
+                reader.close()
+                _die_with_parent(worker_pid)
+                # Looked up per job, so a wrapper installed on this
+                # module before the service forked this worker runs
+                # once per job, in the job's own process.
+                worker_main(
+                    conn,
+                    writer,
+                    self,
+                    job_id,
+                    message["scenario"],
+                    cache_dir,
+                    run_log,
+                    trace_id=message.get("trace_id"),
+                    profile_path=message.get("profile_path"),
+                )
+                code = 0
+            finally:
+                os._exit(code)
+        writer.close()
+        try:
+            record = reader.recv()
+            finished = True
+        except (EOFError, OSError):
+            record, finished = None, False
+        reader.close()
+        _, status = os.waitpid(pid, 0)
+        if not finished:
+            conn.send(
+                {
+                    "kind": "died",
+                    "job_id": job_id,
+                    "exitcode": os.waitstatus_to_exitcode(status),
+                }
+            )
+            if model_hash is not None:
+                self.forget(model_hash)
+        elif record is not None and learn:
+            self.learn(record)
+
+
+def warm_worker_main(conn, cache_dir: str, run_log: Optional[str] = None) -> None:
+    """Warm-worker entry: serve jobs from ``conn`` until told to stop.
+
+    Runs in a child process forked by :class:`Supervisor`, which sends
+    ``{"kind": "job", ...}`` messages one at a time and ``{"kind":
+    "stop"}`` to retire the worker; the worker also exits when the pipe
+    closes or the service process dies.  Each job runs in its own
+    forked job process (:func:`worker_main`).  A ``state`` message
+    (bank bytes per stack, RSS) goes up at start-up and after each
+    job, once the worker has learnt from it.
+    """
+    _detach_from_service()
+    _pin_mmap_threshold()
+    service_pid = os.getppid()
+    state = _WarmState()
+    try:
+        conn.send(dict(state.describe(), kind="state"))
+        while True:
+            message = _next_message(conn, service_pid)
+            if message is None or message.get("kind") != "job":
+                return
+            state.serve(conn, message, cache_dir, run_log)
+            conn.send(dict(state.describe(), kind="state"))
+    except (BrokenPipeError, OSError):
+        return  # the service is gone
+    finally:
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+
 def worker_main(
     conn,
+    learn,
+    warm: _WarmState,
     job_id: str,
     scenario_dict: dict,
     cache_dir: str,
@@ -105,15 +411,18 @@ def worker_main(
     trace_id: Optional[str] = None,
     profile_path: Optional[str] = None,
 ) -> None:
-    """Process-worker entry: solve one scenario, report, exit.
+    """Job-process entry: solve one scenario, report, return.
 
-    Runs in a child process.  The result lands in the shared
-    :class:`ResultCache` (and its run manifest next to it) *before*
-    the ``done`` message is sent, so a crash after the cache write at
-    worst reruns a job whose rerun is a pure cache hit.
+    Runs in a process a warm worker forks for the job; ``warm`` is the
+    worker's state, so the job reuses its models and its factor bank.
+    The result lands in the shared :class:`ResultCache` (and its run
+    manifest next to it) *before* the ``done`` message is sent, so a
+    crash after the cache write at worst reruns a job whose rerun is a
+    pure cache hit.  Then the job's bank record (see
+    :meth:`FactorBank.record`) goes to the worker through ``learn``.
 
     ``trace_id`` is the propagated client trace context — stamped on
-    heartbeats (the supervisor's only live view into the worker) and
+    heartbeats (the supervisor's only live view into the job) and
     installed as the process-wide current trace.  ``profile_path``
     turns on the sampling profiler for the solve and writes the
     collapsed stacks there; hot frames ride back in the ``done``
@@ -123,6 +432,8 @@ def worker_main(
     stop = threading.Event()
     if trace_id:
         set_current_trace(TraceContext(trace_id))
+    bank = warm.bank
+    record: Optional[JobRecord] = None
 
     def send(message: dict) -> None:
         with send_lock:
@@ -132,7 +443,7 @@ def worker_main(
                 pass
 
     def heartbeat() -> None:
-        beat: Dict[str, object] = {"kind": "hb", "t": 0.0}
+        beat: Dict[str, object] = {"kind": "hb", "job_id": job_id, "t": 0.0}
         if trace_id:
             beat["trace_id"] = trace_id
         while not stop.wait(HEARTBEAT_INTERVAL_S):
@@ -146,18 +457,22 @@ def worker_main(
         if delay > 0:
             time.sleep(delay)
         scenario = Scenario.from_dict(scenario_dict)
+        model = warm.prepare(scenario)
         cache = ResultCache(cache_dir)
         profiler: Optional[SamplingProfiler] = None
         if (profile_path or profile_requested()) and SamplingProfiler.available():
             profiler = SamplingProfiler()
         telemetry: Dict[str, object] = {}
-        with capture_telemetry(telemetry):
-            runner = Runner(scenario, cache=cache)
-            if profiler is not None:
-                with profiler:
+        with capture_telemetry(telemetry), bank.job():
+            try:
+                runner = Runner(scenario, model=model, cache=cache)
+                if profiler is not None:
+                    with profiler:
+                        runner.run()
+                else:
                     runner.run()
-            else:
-                runner.run()
+            finally:
+                record = bank.record()
         manifest = runner.last_manifest or {}
         cached = bool(manifest.get("cached", False))
         profile_info: Optional[dict] = None
@@ -182,6 +497,7 @@ def worker_main(
         send(
             {
                 "kind": "done",
+                "job_id": job_id,
                 "cached": cached,
                 "wall_s": float(manifest.get("wall_s", 0.0)),
                 "backend": manifest.get("solver_backend"),
@@ -194,6 +510,7 @@ def worker_main(
         send(
             {
                 "kind": "error",
+                "job_id": job_id,
                 "error_type": type(exc).__name__,
                 "message": str(exc),
                 "traceback": "".join(
@@ -204,8 +521,9 @@ def worker_main(
     finally:
         stop.set()
         try:
-            conn.close()
-        except OSError:
+            learn.send(record)
+            learn.close()
+        except (BrokenPipeError, OSError):
             pass
 
 
@@ -296,11 +614,10 @@ class CircuitBreaker:
 
 @dataclass
 class _Running:
-    """Parent-side handle of one in-flight worker."""
+    """Parent-side handle of one in-flight job."""
 
     job_id: str
-    process: multiprocessing.process.BaseProcess
-    conn: object
+    worker: "_Worker"
     started: float
     last_heartbeat: float
     # Wall-clock twin of ``last_heartbeat`` (monotonic): the synthetic
@@ -314,6 +631,34 @@ class _Running:
 
 
 @dataclass
+class _Worker:
+    """Parent-side handle of one warm worker process."""
+
+    slot: int
+    pid: int
+    process: multiprocessing.process.BaseProcess
+    conn: object
+    jobs_served: int = 0
+    bank_bytes: int = 0
+    rss_mb: float = 0.0
+    # Bank bytes per model_hash, as of the worker's last job.
+    stacks: Dict[str, int] = field(default_factory=dict)
+    adopted: int = 0
+    job: Optional[_Running] = None
+
+    def describe(self) -> Dict[str, object]:
+        return {
+            "slot": self.slot,
+            "pid": self.pid,
+            "busy": self.job is not None,
+            "job_id": self.job.job_id if self.job is not None else None,
+            "jobs_served": self.jobs_served,
+            "bank_bytes": self.bank_bytes,
+            "rss_mb": round(self.rss_mb, 1),
+        }
+
+
+@dataclass
 class DrainReport:
     """Outcome of a graceful drain."""
 
@@ -322,11 +667,12 @@ class DrainReport:
 
 
 class Supervisor:
-    """Drive the worker pool over a :class:`JobStore`'s queue.
+    """Drive the warm worker pool over a :class:`JobStore`'s queue.
 
     Single-threaded asyncio: :meth:`tick` (dispatch + poll) is called
     from the service loop, so every store mutation happens on the loop
-    thread and the WAL sees a serialised history.
+    thread and the WAL sees a serialised history.  Workers are forked
+    on demand, up to ``max_workers``.
     """
 
     def __init__(
@@ -354,6 +700,7 @@ class Supervisor:
         self.watchdog = watchdog
         self.profiles_dir = profiles_dir
         self.draining = False
+        self._workers: Dict[int, _Worker] = {}
         self._running: Dict[str, _Running] = {}
         self._not_before: Dict[str, float] = {}
         self._context = multiprocessing.get_context()
@@ -363,55 +710,183 @@ class Supervisor:
         self._c_failed = registry.counter("service.jobs.failed")
         self._c_retries = registry.counter("service.jobs.retries")
         self._c_worker_deaths = registry.counter("service.worker.deaths")
+        self._c_workers_started = registry.counter("service.workers.started")
+        self._c_workers_recycled = registry.counter("service.workers.recycled")
+        self._c_factors_adopted = registry.counter("service.workers.factors_adopted")
         self._c_timeouts = registry.counter("service.jobs.timeouts")
         self._c_quarantined = registry.counter("service.jobs.quarantined")
         self._h_wall = registry.histogram("service.job.wall_s")
         self._g_queue_depth = registry.gauge("service.queue.depth")
         self._g_workers_alive = registry.gauge("service.workers.alive")
+        self._g_workers_busy = registry.gauge("service.workers.busy")
         self._g_wal_bytes = registry.gauge("service.wal.bytes")
 
-    # -- dispatch -----------------------------------------------------------
+    # -- pool -----------------------------------------------------------------
 
     @property
     def busy(self) -> int:
         return len(self._running)
 
-    def _dispatch(self, job: Job) -> None:
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
+    def pool(self) -> List[Dict[str, object]]:
+        """Live view of every warm worker, by slot."""
+        return [
+            self._workers[slot].describe() for slot in sorted(self._workers)
+        ]
+
+    def _spawn(self) -> _Worker:
+        slot = min(set(range(self.max_workers)) - set(self._workers))
+        parent_conn, child_conn = self._context.Pipe()
+        # The worker looks ``worker_main`` up per job, in the module it
+        # inherits here: a wrapper installed on this module before the
+        # service started runs once per job.
+        process = self._context.Process(
+            target=warm_worker_main,
+            args=(child_conn, str(self.store.cache.root), self.run_log),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        worker = _Worker(
+            slot=slot, pid=process.pid, process=process, conn=parent_conn
+        )
+        self._workers[slot] = worker
+        self._c_workers_started.inc()
+        get_tracer().event("service.worker_start", slot=slot, pid=process.pid)
+        return worker
+
+    def _bank_gauge(self, slot: int):
+        return get_registry().gauge(f"service.worker.{slot}.bank_bytes")
+
+    def _release(self, handle: _Running) -> None:
+        """The worker's job is over (the worker may still be learning)."""
+        handle.worker.job = None
+        self._running.pop(handle.job_id, None)
+
+    def _update(self, worker: _Worker, state: dict) -> None:
+        """Record a worker's ``state`` message."""
+        worker.bank_bytes = int(state.get("bank_bytes", 0))
+        worker.rss_mb = float(state.get("rss_mb", 0.0))
+        worker.stacks = dict(state.get("bank_stacks") or {})
+        adopted = int(state.get("factors_adopted", 0))
+        self._c_factors_adopted.inc(max(0, adopted - worker.adopted))
+        worker.adopted = adopted
+        self._bank_gauge(worker.slot).set(worker.bank_bytes)
+
+    def _recycle_due(self, worker: _Worker) -> Optional[str]:
+        if worker.jobs_served >= WORKER_MAX_JOBS:
+            return f"served {worker.jobs_served} jobs"
+        if worker.rss_mb > WORKER_RSS_CAP_MB:
+            return f"resident set {worker.rss_mb:.0f} MB"
+        return None
+
+    def _retire(self, worker: _Worker, reason: str) -> None:
+        """Stop an idle worker and join it (kill it if it will not exit)."""
+        get_tracer().event(
+            "service.worker_retire",
+            slot=worker.slot,
+            pid=worker.pid,
+            jobs_served=worker.jobs_served,
+            reason=reason,
+        )
+        try:
+            worker.conn.send({"kind": "stop"})
+        except (BrokenPipeError, OSError):
+            pass
+        worker.process.join(timeout=WORKER_STOP_TIMEOUT_S)
+        self._discard(worker)
+
+    def _discard(self, worker: _Worker) -> None:
+        """Drop a worker from the pool, killing it if alive, and join it.
+
+        A killed worker loses only its cache: the caller retries or
+        requeues its job.
+        """
+        if worker.job is not None:
+            self._running.pop(worker.job.job_id, None)
+            worker.job = None
+        self._workers.pop(worker.slot, None)
+        self._bank_gauge(worker.slot).set(0)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        process = worker.process
+        if process.is_alive():
+            process.kill()
+        process.join(timeout=5.0)
+        get_tracer().event(
+            "service.worker_exit",
+            slot=worker.slot,
+            pid=worker.pid,
+            exitcode=process.exitcode,
+            jobs_served=worker.jobs_served,
+        )
+        try:
+            process.close()
+        except (ValueError, AttributeError):
+            pass
+
+    # -- dispatch -----------------------------------------------------------
+
+    def _home(self, job: Job) -> Optional[_Worker]:
+        """The worker whose bank holds the most bytes of the job's stack."""
+        stack = job.model_hash
+        home = max(
+            self._workers.values(),
+            key=lambda worker: worker.stacks.get(stack, 0),
+            default=None,
+        )
+        return home if home is not None and stack in home.stacks else None
+
+    def _take(self, queue: List[Job], wanted: Callable[[Job], bool]):
+        """Pop the oldest queued job ``wanted`` accepts and the breaker admits."""
+        for job in queue:
+            if wanted(job) and self.breaker.allow(scenario_class(job.scenario)):
+                queue.remove(job)
+                return job
+        return None
+
+    def _dispatch(self, worker: _Worker, job: Job) -> None:
         profile_path: Optional[str] = None
         if self.profiles_dir and (job.profile or profile_requested()):
             profile_path = str(
                 os.path.join(self.profiles_dir, f"{job.job_id}.collapsed")
             )
-        process = self._context.Process(
-            target=worker_main,
-            args=(
-                child_conn,
-                job.job_id,
-                job.scenario.to_dict(),
-                str(self.store.cache.root),
-                self.run_log,
-                job.trace_id,
-                profile_path,
-            ),
-            daemon=True,
-        )
         self.store.transition(
-            job.job_id, JobState.RUNNING, attempts=job.attempts + 1
+            job.job_id,
+            JobState.RUNNING,
+            attempts=job.attempts + 1,
+            worker_pid=worker.pid,
+            worker_jobs=worker.jobs_served + 1,
         )
-        process.start()
-        child_conn.close()
-        self.store.jobs[job.job_id].worker_pid = process.pid
         now = time.monotonic()
-        self._running[job.job_id] = _Running(
+        handle = _Running(
             job_id=job.job_id,
-            process=process,
-            conn=parent_conn,
+            worker=worker,
             started=now,
             last_heartbeat=now,
             last_heartbeat_wall=time.time(),
             started_wall=time.time(),
         )
+        worker.job = handle
+        worker.jobs_served += 1
+        self._running[job.job_id] = handle
+        home = self._home(job)
+        try:
+            worker.conn.send(
+                {
+                    "kind": "job",
+                    "job_id": job.job_id,
+                    "scenario": job.scenario.to_dict(),
+                    "trace_id": job.trace_id,
+                    "profile_path": profile_path,
+                    # A guest job (its stack lives on another worker)
+                    # must not evict this worker's own stacks.
+                    "learn": home is None or home is worker,
+                }
+            )
+        except (BrokenPipeError, OSError):
+            pass  # the next poll finds the worker dead and retries the job
         self._c_dispatched.inc()
         tracer = get_tracer()
         if tracer.has_sinks and job.attempts == 1 and job.submitted_at:
@@ -426,68 +901,79 @@ class Supervisor:
                 trace_id=job.trace_id,
             )
         tracer.event(
-            "service.dispatch", job_id=job.job_id, pid=process.pid
+            "service.dispatch",
+            job_id=job.job_id,
+            pid=worker.pid,
+            slot=worker.slot,
+            warm=job.model_hash in worker.stacks,
         )
 
     def dispatch_pending(self) -> int:
-        """Start as many eligible pending jobs as free slots allow."""
+        """Hand eligible pending jobs to idle workers (soft stack affinity).
+
+        First every idle worker takes the oldest job whose stack its
+        bank holds — more of it than any other worker's bank, so each
+        stack keeps one home even after a worker has served several
+        stacks.  Then the remaining idle workers, and new workers while
+        slots are free, take the oldest jobs left.  A job whose stack
+        has its home on another worker runs there as a guest: it uses
+        whatever the bank holds, but the worker learns nothing from it,
+        so guests never push a worker's own stacks out of its bank.
+        """
         if self.draining:
             return 0
-        started = 0
         now = time.monotonic()
-        for job in self.store.pending():
-            if len(self._running) >= self.max_workers:
+        queue = [
+            job
+            for job in self.store.pending()
+            if self._not_before.get(job.job_id, 0.0) <= now
+        ]
+        idle = [w for w in self._workers.values() if w.job is None]
+        started = 0
+        for worker in list(idle):
+            if not queue:
                 break
-            if self._not_before.get(job.job_id, 0.0) > now:
-                continue
-            if not self.breaker.allow(scenario_class(job.scenario)):
-                continue
-            self._dispatch(job)
+            job = self._take(queue, lambda j: self._home(j) is worker)
+            if job is not None:
+                idle.remove(worker)
+                self._dispatch(worker, job)
+                started += 1
+        while queue and (idle or len(self._workers) < self.max_workers):
+            job = self._take(queue, lambda j: True)
+            if job is None:
+                break
+            self._dispatch(idle.pop(0) if idle else self._spawn(), job)
             started += 1
         return started
 
     # -- polling ------------------------------------------------------------
 
-    def _drain_messages(self, handle: _Running) -> None:
+    def _drain_messages(self, worker: _Worker) -> None:
         while True:
             try:
-                if not handle.conn.poll(0):
+                if not worker.conn.poll(0):
                     return
-                message = handle.conn.recv()
+                message = worker.conn.recv()
             except (EOFError, BrokenPipeError, OSError):
                 return
             kind = message.get("kind")
+            if kind == "state":
+                self._update(worker, message)
+                continue
+            handle = worker.job
+            if handle is None or message.get("job_id") != handle.job_id:
+                continue  # a late heartbeat of a finished job
+            if handle.outcome is not None:
+                continue  # e.g. "died" after the job had reported
             if kind == "hb":
                 handle.last_heartbeat = time.monotonic()
                 handle.last_heartbeat_wall = float(
                     message.get("t", time.time())
                 )
-            elif kind in ("done", "error"):
+            elif kind in ("done", "error", "died"):
                 handle.outcome = message
                 handle.last_heartbeat = time.monotonic()
                 handle.last_heartbeat_wall = time.time()
-
-    def _reap(self, handle: _Running) -> None:
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        handle.process.join(timeout=1.0)
-        if handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join(timeout=1.0)
-        try:
-            handle.process.close()
-        except (ValueError, AttributeError):
-            pass
-        del self._running[handle.job_id]
-
-    def _kill(self, handle: _Running) -> None:
-        try:
-            handle.process.terminate()
-        except (ValueError, OSError):
-            pass
-        self._reap(handle)
 
     def _schedule_retry(self, job: Job) -> None:
         self._c_retries.inc()
@@ -495,6 +981,21 @@ class Supervisor:
             job.attempts, self.rng
         )
         self.store.transition(job.job_id, JobState.PENDING)
+
+    def _finish(self, handle: _Running) -> None:
+        outcome = handle.outcome or {}
+        kind = outcome.get("kind")
+        if kind == "done":
+            self._finish_success(handle, outcome)
+        elif kind == "died":
+            # The job process died; its warm worker lives on.
+            self._finish_death(
+                handle,
+                f"job process exitcode {outcome.get('exitcode')}",
+                worker_died=False,
+            )
+        else:
+            self._finish_error(handle, outcome)
 
     def _finish_success(self, handle: _Running, outcome: dict) -> None:
         job = self.store.jobs[handle.job_id]
@@ -551,15 +1052,21 @@ class Supervisor:
             if self.watchdog is not None:
                 self.watchdog.observe(backend, solve_wall)
         self.breaker.record_success(scenario_class(job.scenario))
-        self._reap(handle)
-        self.store.transition(job.job_id, JobState.DONE)
+        worker = handle.worker
+        self._release(handle)
+        self.store.transition(
+            job.job_id,
+            JobState.DONE,
+            worker_pid=worker.pid,
+            worker_jobs=job.worker_jobs,
+        )
         self._not_before.pop(job.job_id, None)
         self._c_done.inc()
 
     def _finish_error(self, handle: _Running, outcome: dict) -> None:
         job = self.store.jobs[handle.job_id]
         error = f"{outcome.get('error_type')}: {outcome.get('message')}"
-        self._reap(handle)
+        self._release(handle)
         if job.attempts >= self.retry.max_attempts:
             self._c_failed.inc()
             self.store.transition(job.job_id, JobState.FAILED, error=error)
@@ -586,7 +1093,9 @@ class Supervisor:
             pid=job.worker_pid,
         )
 
-    def _finish_death(self, handle: _Running, reason: str) -> None:
+    def _finish_death(
+        self, handle: _Running, reason: str, worker_died: bool = True
+    ) -> None:
         job = self.store.jobs[handle.job_id]
         key = scenario_class(job.scenario)
         self._c_worker_deaths.inc()
@@ -598,7 +1107,10 @@ class Supervisor:
             scenario_class=key,
         )
         self._emit_worker_killed(handle, job, reason)
-        self._reap(handle)
+        if worker_died:
+            self._discard(handle.worker)
+        else:
+            self._release(handle)
         if job.attempts >= self.retry.max_attempts:
             self._c_quarantined.inc()
             self.store.transition(
@@ -614,7 +1126,7 @@ class Supervisor:
         job = self.store.jobs[handle.job_id]
         self._c_timeouts.inc()
         self._emit_worker_killed(handle, job, reason)
-        self._kill(handle)
+        self._discard(handle.worker)
         if job.attempts >= self.retry.max_attempts:
             self._c_failed.inc()
             self.store.transition(job.job_id, JobState.FAILED, error=reason)
@@ -622,46 +1134,52 @@ class Supervisor:
             self._schedule_retry(job)
 
     def poll(self) -> None:
-        """One supervision pass over every in-flight worker."""
+        """One supervision pass over every worker."""
         now = time.monotonic()
-        for handle in list(self._running.values()):
-            self._drain_messages(handle)
-            if handle.outcome is not None:
-                if handle.outcome.get("kind") == "done":
-                    self._finish_success(handle, handle.outcome)
-                else:
-                    self._finish_error(handle, handle.outcome)
-                continue
-            if not handle.process.is_alive():
+        for worker in list(self._workers.values()):
+            self._drain_messages(worker)
+            handle = worker.job
+            if handle is not None and handle.outcome is not None:
+                self._finish(handle)
+            elif not worker.process.is_alive():
                 # One last look: the worker may have sent its outcome
                 # between the drain above and its exit.
-                self._drain_messages(handle)
-                if handle.outcome is not None:
-                    if handle.outcome.get("kind") == "done":
-                        self._finish_success(handle, handle.outcome)
-                    else:
-                        self._finish_error(handle, handle.outcome)
+                self._drain_messages(worker)
+                exitcode = worker.process.exitcode
+                if handle is None:
+                    self._c_worker_deaths.inc()
+                    get_tracer().event(
+                        "service.worker_death",
+                        reason=f"idle worker exited with {exitcode}",
+                        pid=worker.pid,
+                    )
+                    self._discard(worker)
+                elif handle.outcome is not None:
+                    self._finish(handle)
                 else:
-                    self._finish_death(
+                    self._finish_death(handle, f"exitcode {exitcode}")
+                continue
+            elif handle is not None:
+                if (
+                    self.timeout_s is not None
+                    and now - handle.started > self.timeout_s
+                ):
+                    self._finish_timeout(
                         handle,
-                        f"exitcode {handle.process.exitcode}",
+                        f"job exceeded the {self.timeout_s} s deadline",
+                    )
+                elif now - handle.last_heartbeat > self.heartbeat_timeout_s:
+                    self._finish_timeout(
+                        handle,
+                        f"no heartbeat for {self.heartbeat_timeout_s} s "
+                        "(worker hung)",
                     )
                 continue
-            if (
-                self.timeout_s is not None
-                and now - handle.started > self.timeout_s
-            ):
-                self._finish_timeout(
-                    handle,
-                    f"job exceeded the {self.timeout_s} s deadline",
-                )
-                continue
-            if now - handle.last_heartbeat > self.heartbeat_timeout_s:
-                self._finish_timeout(
-                    handle,
-                    f"no heartbeat for {self.heartbeat_timeout_s} s "
-                    "(worker hung)",
-                )
+            if self._workers.get(worker.slot) is worker and worker.job is None:
+                reason = self._recycle_due(worker)
+                if reason is not None:
+                    self._c_workers_recycled.inc()
+                    self._retire(worker, reason)
 
     def tick(self) -> None:
         """One service-loop step: reap finished work, start new work."""
@@ -678,7 +1196,8 @@ class Supervisor:
                 if job.state == JobState.PENDING
             )
         )
-        self._g_workers_alive.set(len(self._running))
+        self._g_workers_alive.set(len(self._workers))
+        self._g_workers_busy.set(len(self._running))
         self._g_wal_bytes.set(self.store.wal.size_bytes())
 
     # -- control ------------------------------------------------------------
@@ -687,34 +1206,40 @@ class Supervisor:
         """Cancel a pending or running job (kills its worker)."""
         job = self.store.jobs[job_id]
         if job.state == JobState.RUNNING and job_id in self._running:
-            self._kill(self._running[job_id])
+            self._discard(self._running[job_id].worker)
         self._not_before.pop(job_id, None)
         return self.store.transition(job_id, JobState.CANCELLED)
 
     def drain(self, timeout_s: float = 60.0) -> DrainReport:
         """Graceful shutdown: finish in-flight work, re-enqueue the rest.
 
-        Dispatch stops immediately; in-flight workers get up to
-        ``timeout_s`` to finish.  Whatever is still running then is
-        terminated and journaled back to ``PENDING`` — the WAL is the
-        checkpoint, so a restart resumes exactly there.
+        Dispatch stops immediately; in-flight jobs get up to
+        ``timeout_s`` to finish.  Workers still running a job then are
+        killed and their jobs journaled back to ``PENDING`` — the WAL
+        is the checkpoint, so a restart resumes exactly there.  Every
+        other worker is stopped and joined.
         """
         self.draining = True
         report = DrainReport()
         deadline = time.monotonic() + timeout_s
-        while self._running and time.monotonic() < deadline:
-            before = set(self._running)
-            self.poll()
-            for job_id in before - set(self._running):
-                if self.store.jobs[job_id].state == JobState.DONE:
-                    report.finished.append(job_id)
-            time.sleep(0.05)
-        for handle in list(self._running.values()):
-            job = self.store.jobs[handle.job_id]
-            self._kill(handle)
-            if not job.state.terminal:
-                self.store.transition(handle.job_id, JobState.PENDING)
-                report.requeued.append(handle.job_id)
+        try:
+            while self._running and time.monotonic() < deadline:
+                before = set(self._running)
+                self.poll()
+                for job_id in before - set(self._running):
+                    if self.store.jobs[job_id].state == JobState.DONE:
+                        report.finished.append(job_id)
+                time.sleep(0.05)
+            for handle in list(self._running.values()):
+                job = self.store.jobs[handle.job_id]
+                self._discard(handle.worker)
+                if not job.state.terminal:
+                    self.store.transition(handle.job_id, JobState.PENDING)
+                    report.requeued.append(handle.job_id)
+        finally:
+            # Even when journaling fails, no worker outlives the drain.
+            for worker in list(self._workers.values()):
+                self._retire(worker, "drain")
         get_tracer().event(
             "service.drained",
             finished=len(report.finished),
@@ -724,5 +1249,5 @@ class Supervisor:
 
     def shutdown(self) -> None:
         """Hard stop: kill every worker without touching job states."""
-        for handle in list(self._running.values()):
-            self._kill(handle)
+        for worker in list(self._workers.values()):
+            self._discard(worker)

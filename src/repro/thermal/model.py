@@ -66,6 +66,7 @@ from ..obs.metrics import Counter, get_registry
 from ..obs.trace import get_tracer
 from ..units import celsius_to_kelvin, ml_per_min_to_m3_per_s
 from .assembly import ConductanceBuilder
+from .bank import FactorBank, factor_bytes
 from .diagnostics import (
     FactorizationError,
     IterativeConvergenceError,
@@ -164,9 +165,10 @@ class CompactThermalModel:
     inlet_temperature:
         Coolant inlet temperature [K] (liquid mode).
     max_steady_factors:
-        Upper bound on cached steady-solve LU factorisations (LRU).
-        ``None`` (the default) resolves to 8, overridable through the
-        ``REPRO_LU_CACHE_SIZE`` environment variable.
+        Upper bound on cached steady-solve LU factorisations (LRU) in
+        the model's private factor bank.  ``None`` (the default)
+        resolves to 8, overridable through the ``REPRO_LU_CACHE_SIZE``
+        environment variable.  Ignored when ``bank`` is given.
     solver:
         Steady-solve backend: ``"direct"`` (sparse LU), ``"iterative"``
         (ILU-preconditioned BiCGSTAB with warm starts and a guarded
@@ -202,6 +204,16 @@ class CompactThermalModel:
         ``CoolingConfig(dynamic=True)`` lets flow commands re-march the
         two-phase evaporator and move the saturation anchors at run
         time (see :meth:`update_cooling`).
+    bank:
+        Caller-owned :class:`~repro.thermal.bank.FactorBank` for the
+        steady LU factors (a long-lived service worker shares one
+        across jobs and stacks); a byte-capped one also takes the
+        transient factors of every stepper on this model.  ``None``
+        gives the model a private count-bounded bank that lives as
+        long as the model.
+    bank_key:
+        This model's key in the bank (scenario runs pass their
+        ``model_hash``); defaults to a token unique to the model.
     """
 
     def __init__(
@@ -219,6 +231,8 @@ class CompactThermalModel:
         rom_store: Optional[object] = None,
         rom_key: Optional[str] = None,
         cooling: Optional[CoolingConfig] = None,
+        bank: Optional[FactorBank] = None,
+        bank_key: Optional[object] = None,
     ) -> None:
         if max_steady_factors is None:
             max_steady_factors = lu_cache_size(8)
@@ -243,13 +257,19 @@ class CompactThermalModel:
         self._block_order: Optional[List[BlockRef]] = None
         self._block_index: Optional[Dict[BlockRef, int]] = None
         self._injection: Optional[csr_matrix] = None
-        # Steady-solve LU factors, keyed by flow state.  Keys fully
-        # describe the matrix they were factorised from, so a flow
-        # change via set_flow/set_cavity_flow "invalidates" the cache by
+        # Steady-solve LU factors live in the factor bank under
+        # (bank_key, "steady", flow state, None).  Keys fully describe
+        # the matrix they were factorised from, so a flow change via
+        # set_flow/set_cavity_flow "invalidates" the cache by
         # construction: the new state simply looks up a different key,
         # and stale entries can never be served.
-        self._steady_factors: "OrderedDict[object, object]" = OrderedDict()
         self._max_steady_factors = int(max_steady_factors)
+        self.factor_bank = (
+            bank
+            if bank is not None
+            else FactorBank(max_entries=self._max_steady_factors)
+        )
+        self.bank_key = bank_key if bank_key is not None else object()
         # Per-model cache counters (reset by clear_steady_cache), each
         # mirrored into the process-global metrics registry so whole-run
         # rollups see every model's cache behaviour in one place.
@@ -962,34 +982,36 @@ class CompactThermalModel:
         :meth:`set_flow` / :meth:`set_cavity_flow` can never leave a
         stale factor behind.
         """
-        key = self._steady_key(flow_ml_min)
-        factor = self._steady_factors.get(key)
+        key = self._steady_bank_key(flow_ml_min)
+        bank = self.factor_bank
+        factor = bank.get(key)
         if factor is not None:
-            self._steady_factors.move_to_end(key)
             self._steady_hits.inc()
             self._g_steady_hits.inc()
             return factor
         self._steady_misses.inc()
         self._g_steady_misses.inc()
+        bank.reserve(key)
+        matrix = self.system_matrix(flow_ml_min).tocsc()
         try:
-            factor = splu(
-                self.system_matrix(flow_ml_min).tocsc(), **SPLU_OPTIONS
-            )
+            factor = splu(matrix, **SPLU_OPTIONS)
         except Exception as exc:
             raise FactorizationError(
-                f"steady LU factorisation failed for flow state {key!r}: "
+                f"steady LU factorisation failed for flow state {key[2]!r}: "
                 f"{exc}"
             ) from exc
-        self._steady_factors[key] = factor
-        if len(self._steady_factors) > self._max_steady_factors:
-            self._steady_factors.popitem(last=False)
-        self._g_steady_currsize.set(len(self._steady_factors))
+        bank.put(key, factor, factor_bytes(factor), source=matrix)
+        self._g_steady_currsize.set(bank.count(self.bank_key, "steady"))
         return factor
 
     def _steady_key(self, flow_ml_min: Optional[float]) -> object:
         if flow_ml_min is not None:
             return ("uniform", round(float(flow_ml_min), 6))
         return self.flow_signature()
+
+    def _steady_bank_key(self, flow_ml_min: Optional[float]) -> tuple:
+        """Bank key of the steady factor at ``flow_ml_min``."""
+        return (self.bank_key, "steady", self._steady_key(flow_ml_min), None)
 
     def evict_steady_factor(self, flow_ml_min: Optional[float] = None) -> bool:
         """Drop one cached steady factor (a poisoned-factor escape hatch).
@@ -1002,11 +1024,13 @@ class CompactThermalModel:
         same key.
         """
         key = self._steady_key(flow_ml_min)
-        dropped_lu = self._steady_factors.pop(key, None) is not None
+        dropped_lu = self.factor_bank.pop(self._steady_bank_key(flow_ml_min))
         dropped_ilu = self._steady_krylov.pop(key, None) is not None
         dropped_amg = self._steady_amg_solvers.pop(key, None) is not None
         self._steady_warm.pop(key, None)
-        self._g_steady_currsize.set(len(self._steady_factors))
+        self._g_steady_currsize.set(
+            self.factor_bank.count(self.bank_key, "steady")
+        )
         return dropped_lu or dropped_ilu or dropped_amg
 
     def steady_cache_info(self) -> CacheInfo:
@@ -1014,7 +1038,7 @@ class CompactThermalModel:
         return CacheInfo(
             hits=self._steady_hits.value,
             misses=self._steady_misses.value,
-            currsize=len(self._steady_factors),
+            currsize=self.factor_bank.count(self.bank_key, "steady"),
             maxsize=self._max_steady_factors,
         )
 
@@ -1025,7 +1049,7 @@ class CompactThermalModel:
         ILU preconditioners, the AMG hierarchies and the shared
         warm-start guesses.
         """
-        self._steady_factors.clear()
+        self.factor_bank.drop(self.bank_key, "steady")
         self._steady_krylov.clear()
         self._steady_amg_solvers.clear()
         self._steady_warm.clear()

@@ -5,10 +5,11 @@ Backward Euler with sparse LU factors:
 ``(C/dt + A(f)) T_{n+1} = (C/dt) T_n + P + b(f)``
 
 The factorisation depends only on ``(flow signature, dt)``.  The
-run-time policies quantise the flow rate to a handful of settings, so an
-LRU cache of LU factors makes every step after the first a pair of
-triangular solves — this is what makes minutes-long closed-loop
-simulations with 100 ms control periods cheap.  The boundary vector
+run-time policies quantise the flow rate to a handful of settings, so a
+cache of LU factors (a :class:`~repro.thermal.bank.FactorBank`) makes
+every step after the first a pair of triangular solves — this is what
+makes minutes-long closed-loop simulations with 100 ms control periods
+cheap.  The boundary vector
 ``b(f)`` depends on the same signature and is cached alongside the
 factor, so a cached step performs exactly one spmv (power injection),
 one triangular solve pair, and one vector add.
@@ -30,6 +31,7 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
+from .bank import BankKey, FactorBank, entry_bytes, factor_bytes
 from .diagnostics import (
     FactorizationError,
     IterativeConvergenceError,
@@ -62,7 +64,7 @@ from .model import (
 from .rom import RomRejection
 
 FactorKey = Tuple[FlowSignature, float]
-"""Cache key of one factorisation: ``(flow signature, dt)``."""
+"""Key of one iterative-path operator: ``(flow signature, dt)``."""
 
 FactorEntry = Tuple[object, np.ndarray, object]
 """One cache entry: ``(LU factor, boundary rhs, system matrix)``."""
@@ -91,10 +93,11 @@ class TransientStepper:
         steady-state values, so callers usually pass
         ``model.steady_state(...)``.
     max_cached_factors:
-        Upper bound on retained LU factorisations (LRU eviction).
-        Defaults to 16, overridable process-wide with the
-        ``REPRO_LU_CACHE_SIZE`` environment variable (an explicit
-        argument always wins).
+        Upper bound on retained LU factorisations (LRU eviction) in the
+        stepper's private factor bank.  Defaults to 16, overridable
+        process-wide with the ``REPRO_LU_CACHE_SIZE`` environment
+        variable (an explicit argument always wins).  Ignored when the
+        model's factor bank is a caller-owned byte-capped one.
     guard:
         Numerical-guard configuration; defaults to the model's.
     solver:
@@ -153,12 +156,19 @@ class TransientStepper:
             krylov if krylov is not None else model.krylov_options
         )
         self._max_cached = max_cached_factors
-        # Each entry holds (LU factor, boundary rhs, system matrix) for
-        # one flow signature at one dt — the rhs costs as much to
+        # Each bank entry holds (LU factor, boundary rhs, system matrix)
+        # for one flow signature at one dt — the rhs costs as much to
         # rebuild per step as the triangular solves it accompanies, and
         # the matrix (already assembled for the factorisation) backs
         # the optional residual check.
-        self._factors: "OrderedDict[FactorKey, FactorEntry]" = OrderedDict()
+        # A model built on a caller-owned byte-capped bank (a warm
+        # service worker's) keeps its transient factors there too;
+        # otherwise they live as long as this stepper.
+        self._bank = (
+            model.factor_bank
+            if model.factor_bank.byte_capped
+            else FactorBank(max_entries=max_cached_factors)
+        )
         # Iterative-path twin: one ILU-preconditioned operator plus its
         # boundary rhs per (flow signature, dt).
         self._krylov: "OrderedDict[FactorKey, KrylovEntry]" = OrderedDict()
@@ -190,29 +200,32 @@ class TransientStepper:
             return self._c_over_dt
         return self.model.capacitance / dt
 
+    def _bank_key(self, dt: float) -> BankKey:
+        model = self.model
+        return (model.bank_key, "transient", model.flow_signature(), dt)
+
     def _factor(self, dt: Optional[float] = None) -> FactorEntry:
         dt = self.dt if dt is None else dt
-        key: FactorKey = (self.model.flow_signature(), dt)
-        entry = self._factors.get(key)
+        key = self._bank_key(dt)
+        entry = self._bank.get(key)
         if entry is not None:
-            self._factors.move_to_end(key)
             self._hits.inc()
             self._g_hits.inc()
             return entry
         self._misses.inc()
         self._g_misses.inc()
         matrix = self.model.system_matrix() + diags(self._c_over(dt))
+        self._bank.reserve(key)
         try:
             factor = splu(matrix.tocsc(), **SPLU_OPTIONS)
         except Exception as exc:
             raise FactorizationError(
-                f"transient LU factorisation failed for key {key!r}: {exc}"
+                f"transient LU factorisation failed for key {key[2:]!r}: "
+                f"{exc}"
             ) from exc
         entry = (factor, self.model.boundary_rhs(), matrix)
-        self._factors[key] = entry
-        if len(self._factors) > self._max_cached:
-            self._factors.popitem(last=False)
-        self._g_currsize.set(float(len(self._factors)))
+        self._bank.put(key, entry, entry_bytes(entry), source=entry[1:])
+        self._g_currsize.set(float(self.cached_factor_count))
         return entry
 
     @property
@@ -270,24 +283,23 @@ class TransientStepper:
         (in either the direct or the iterative cache).
         """
         dt = self.dt if dt is None else dt
-        key: FactorKey = (self.model.flow_signature(), dt)
-        dropped_lu = self._factors.pop(key, None) is not None
-        dropped_ilu = self._krylov.pop(key, None) is not None
+        dropped_lu = self._bank.pop(self._bank_key(dt))
+        dropped_ilu = self._evict_krylov(dt)
         if dropped_lu:
-            self._g_currsize.set(float(len(self._factors)))
+            self._g_currsize.set(float(self.cached_factor_count))
         return dropped_lu or dropped_ilu
 
     @property
     def cached_factor_count(self) -> int:
-        """Number of LU factorisations currently cached."""
-        return len(self._factors)
+        """Number of this model's transient LU factorisations in the bank."""
+        return self._bank.count(self.model.bank_key, "transient")
 
     def cache_info(self) -> CacheInfo:
         """``lru_cache``-style statistics of the factor cache."""
         return CacheInfo(
             hits=self._hits.value,
             misses=self._misses.value,
-            currsize=len(self._factors),
+            currsize=self.cached_factor_count,
             maxsize=self._max_cached,
         )
 
@@ -594,3 +606,20 @@ class TransientStepper:
         for _ in range(steps):
             self.step_with_power_vector(power)
         return self.state
+
+
+def rebuild_bank_entry(key: BankKey, source: object) -> Tuple[object, int]:
+    """Recompute a bank entry (and its size) from its recorded source.
+
+    The builder :meth:`FactorBank.adopt` needs: the same matrix under
+    the same SuperLU options gives bit for bit the factor the recording
+    job computed.  Steady sources are the factorised CSC matrix,
+    transient ones the entry minus its factor: ``(boundary rhs,
+    system matrix)``.
+    """
+    if key[1] == "steady":
+        factor = splu(source, **SPLU_OPTIONS)
+        return factor, factor_bytes(factor)
+    boundary, matrix = source
+    entry = (splu(matrix.tocsc(), **SPLU_OPTIONS), boundary, matrix)
+    return entry, entry_bytes(entry)

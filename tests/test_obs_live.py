@@ -390,6 +390,15 @@ def test_live_service_stitched_traces_and_metrics(
     assert "repro top" in top
     assert "queue depth" in top
     assert "solve [" in top
+    assert "factor bank" in top  # one line per warm worker
+
+    # `repro jobs <id>` names the warm worker that ran the job.
+    job_id = submissions[-1][0]
+    assert main(["jobs", job_id, "--root", str(live_service.root)]) == 0
+    shown = capsys.readouterr().out
+    assert f"job_id: {job_id}" in shown
+    assert "worker_pid: " in shown
+    assert "worker_jobs_served: " in shown
 
     # And the trajectory gate passes against freshly appended history.
     history = live_service.root / "bench-history.jsonl"

@@ -1,7 +1,10 @@
 """Runner/cache/fan-out integration: scenario runs match legacy paths."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import constants
 from repro.analysis import (
     SimulationJob,
     run_simulations,
@@ -29,6 +32,7 @@ from repro.scenario import (
     WorkloadSpec,
     run_scenario,
 )
+from repro.scenario.runner import Runner, build_model
 from repro.workload import paper_workload_suite
 
 NX, NY = 12, 10
@@ -224,6 +228,29 @@ def test_shared_model_reused_across_scenario_jobs():
         assert second.model is first.model
     finally:
         _clear_shared_payload()
+
+
+def test_reused_model_runs_bitwise_equal_fresh_runs():
+    """A model reused across runs must not leak the last run's flow.
+
+    Each run starts from the steady state at the model's flow; a reused
+    model used to carry the previous run's last flow command into the
+    next run's initial state.
+    """
+    specs = [
+        replace(
+            _scenario(workload=name),
+            workload=WorkloadSpec(name=name, duration=10, seed=3),
+        )
+        for name in ("max-utilisation", "web")
+    ]
+    fresh = [_fields(run_scenario(spec)) for spec in specs]
+    model = build_model(specs[0])
+    reused = []
+    for spec in specs:
+        reused.append(_fields(Runner(spec, model=model).run()))
+        assert model.flow_ml_min != constants.FLOW_RATE_MAX_ML_MIN
+    assert reused == fresh
 
 
 def test_resilient_accepts_scenarios():

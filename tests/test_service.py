@@ -7,6 +7,7 @@ everything here runs in-process for speed.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import random
 
@@ -348,6 +349,33 @@ def test_worker_result_lands_in_shared_cache(service):
     runner = Runner(scenario, cache=cache)
     runner.run()
     assert runner.last_manifest["cached"] is True
+
+
+def test_every_span_of_a_job_is_logged_exactly_once(service):
+    """Workers drop the event-log sink they inherit from the service.
+
+    Otherwise each worker span lands twice in ``events.jsonl``: raw
+    from the worker and stitched (with ``job_id``) by the supervisor.
+    """
+    client = ServiceClient(service.address)
+    accepted = client.submit(make_scenario("spans-once").to_dict())
+    job = client.wait_for(accepted["job_id"], timeout=120.0)
+    assert job["state"] == "DONE"
+    service.stop_background()  # flush and close the event log
+    records = [
+        json.loads(line)
+        for line in (service.root / "events.jsonl").read_text().splitlines()
+    ]
+    # Spans the service did not emit itself come from the job process.
+    worker_spans = [
+        record
+        for record in records
+        if record.get("type") == "span" and record["pid"] != os.getpid()
+    ]
+    assert any(r["name"] == "scenario.run" for r in worker_spans)
+    assert {r.get("job_id") for r in worker_spans} == {accepted["job_id"]}
+    keys = [(r["name"], r["t0"], r["dur"]) for r in worker_spans]
+    assert len(keys) == len(set(keys))
 
 
 def test_service_gauges_track_queue_wal_and_workers(service, monkeypatch):

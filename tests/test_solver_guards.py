@@ -112,7 +112,7 @@ def test_poisoned_steady_factor_evicted_and_retried(
 ):
     model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
     reference = model.steady_state(uniform_core_powers)
-    model._steady_factors[model._steady_key(None)] = _NaNFactor()
+    model.factor_bank.put(model._steady_bank_key(None), _NaNFactor(), 0)
 
     field = model.steady_state(uniform_core_powers)
 
@@ -177,9 +177,9 @@ def fresh_stepper(liquid_stack_2tier, uniform_core_powers):
 def test_poisoned_transient_factor_refactorised(fresh_stepper):
     stepper, powers = fresh_stepper
     stepper.step(powers)  # primes the (signature, dt) cache entry
-    key = (stepper.model.flow_signature(), stepper.dt)
-    factor, boundary, matrix = stepper._factors[key]
-    stepper._factors[key] = (_NaNFactor(), boundary, matrix)
+    key = stepper._bank_key(stepper.dt)
+    factor, boundary, matrix = stepper._bank.get(key)
+    stepper._bank.put(key, (_NaNFactor(), boundary, matrix), 0)
 
     state = stepper.step(powers)
 
