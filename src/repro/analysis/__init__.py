@@ -6,18 +6,13 @@ from .sweep import (
     JobFailure,
     SteadyCase,
     SteadySweep,
-    SharedJobRef,
-    SharedSweepPayload,
     SimulationJob,
     SweepOutcome,
-    TransientSweep,
-    TransientSweepResult,
     fan_out,
     jittered_delay,
     resilient_fan_out,
     run_simulations,
     run_simulations_resilient,
-    run_simulations_shared,
 )
 from .reliability import (
     ThermalCycle,
@@ -35,18 +30,13 @@ __all__ = [
     "JobFailure",
     "SteadyCase",
     "SteadySweep",
-    "SharedJobRef",
-    "SharedSweepPayload",
     "SimulationJob",
     "SweepOutcome",
-    "TransientSweep",
-    "TransientSweepResult",
     "fan_out",
     "jittered_delay",
     "resilient_fan_out",
     "run_simulations",
     "run_simulations_resilient",
-    "run_simulations_shared",
     "PAPER_CLAIMS",
     "Claim",
     "within_band",

@@ -17,7 +17,7 @@ closed-loop simulation cheap (see :mod:`repro.thermal.solver`).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -338,191 +338,6 @@ class FuzzyThermalController:
         if lost or max_temp_c >= constants.THERMAL_THRESHOLD_C:
             flow = float(self.flow_grid[-1])
         return flow, vf
-
-
-class BatchFuzzyThermalController:
-    """Batched LC_FUZZY decisions across many lockstep simulations.
-
-    Policy-grid sweeps step many independent closed-loop simulations in
-    lockstep (see :mod:`repro.analysis.sweep`); calling
-    :meth:`FuzzyThermalController.decide` per simulation costs one flow
-    inference plus one speed inference *per simulation* per control
-    step, and the Mamdani rule evaluation dominates.  This wrapper
-    keeps one :class:`FuzzyThermalController` per simulation for its
-    scalar state — trend estimator, flow-boost degradation state, lost
-    sensors — but routes **all** fuzzy inference through two
-    :meth:`~repro.core.fuzzy.MamdaniController.infer_many` calls per
-    step: flow over the simulations, speed over the concatenation of
-    every simulation's sighted cores.
-
-    ``infer_many`` is bitwise identical per point to ``infer``, and
-    every pre/post-processing step (trend update, quantisation, boost,
-    fail-safe overrides) runs through the per-simulation controller's
-    own methods, so :meth:`decide_many` returns exactly what
-    independent ``decide()`` calls would — asserted by the test suite.
-
-    The rule bases and membership functions are module-level constants,
-    identical across :class:`FuzzyThermalController` instances whatever
-    their constructor arguments, so one engine evaluates every
-    simulation's inputs regardless of per-simulation flow grids or
-    VF tables.
-    """
-
-    def __init__(
-        self, controllers: Sequence[FuzzyThermalController]
-    ) -> None:
-        if not controllers:
-            raise ValueError("need at least one controller")
-        self.controllers = list(controllers)
-        self._flow_engine = self.controllers[0]._flow_engine
-        self._speed_engine = self.controllers[0]._speed_engine
-
-    @classmethod
-    def of_size(cls, n_sims: int, **kwargs) -> "BatchFuzzyThermalController":
-        """Build ``n_sims`` identically-configured controllers."""
-        return cls([FuzzyThermalController(**kwargs) for _ in range(n_sims)])
-
-    def __len__(self) -> int:
-        return len(self.controllers)
-
-    def reset(self) -> None:
-        """Reset every simulation's controller state."""
-        for controller in self.controllers:
-            controller.reset()
-
-    def observe_achieved_flows(
-        self, commanded: Sequence[float], achieved: Sequence[float]
-    ) -> None:
-        """Per-simulation flow-meter feedback (graceful degradation)."""
-        if len(commanded) != len(self.controllers) or len(achieved) != len(
-            self.controllers
-        ):
-            raise ValueError("feedback must cover every simulation")
-        for controller, command, actual in zip(
-            self.controllers, commanded, achieved
-        ):
-            controller.observe_achieved_flow(command, actual)
-
-    def decide_many(
-        self,
-        time: float,
-        temperatures_k: Sequence[Mapping[Hashable, float]],
-        utilisations: Sequence[Mapping[Hashable, float]],
-    ) -> List[Tuple[float, Dict[Hashable, int]]]:
-        """One control step for every simulation.
-
-        Parameters
-        ----------
-        time:
-            Simulation time [s] (shared — the simulations are lockstep).
-        temperatures_k, utilisations:
-            One sensor-reading / utilisation mapping per simulation.
-
-        Returns
-        -------
-        list
-            ``(flow_ml_min, vf_settings)`` per simulation, identical to
-            per-simulation :meth:`FuzzyThermalController.decide` calls.
-        """
-        if len(temperatures_k) != len(self.controllers) or len(
-            utilisations
-        ) != len(self.controllers):
-            raise ValueError("inputs must cover every simulation")
-        n_sims = len(self.controllers)
-        decisions: List[Optional[Tuple[float, Dict[Hashable, int]]]] = [
-            None
-        ] * n_sims
-        # Per-active-simulation context gathered before the batched
-        # inference: (index, controller, valid, lost, cores,
-        # max_temp_c, mean_util, trend).
-        active: List[tuple] = []
-        for index, controller in enumerate(self.controllers):
-            temps = temperatures_k[index]
-            utils = utilisations[index]
-            if set(temps) != set(utils):
-                raise ValueError(
-                    "temperature and utilisation cores must match"
-                )
-            valid = {
-                core: temp
-                for core, temp in temps.items()
-                if math.isfinite(temp)
-            }
-            lost = [core for core in temps if core not in valid]
-            controller.last_lost_sensors = lost
-            if not valid:
-                # Total sensor loss: max flow, everything throttled —
-                # and no trend update, exactly like decide().
-                decisions[index] = (
-                    float(controller.flow_grid[-1]),
-                    {
-                        core: controller.vf_table.lowest_index
-                        for core in temps
-                    },
-                )
-                continue
-            max_temp_c = kelvin_to_celsius(max(valid.values()))
-            mean_util = sum(utils.values()) / len(utils)
-            trend = controller._update_trend(time, max_temp_c)
-            active.append(
-                (
-                    index,
-                    controller,
-                    utils,
-                    valid,
-                    lost,
-                    list(valid),
-                    max_temp_c,
-                    mean_util,
-                    trend,
-                )
-            )
-        if not active:
-            return decisions  # type: ignore[return-value]
-
-        flow_levels = self._flow_engine.infer_many(
-            {
-                "temperature": np.array([entry[6] for entry in active]),
-                "trend": np.array([entry[8] for entry in active]),
-                "utilisation": np.array([entry[7] for entry in active]),
-            }
-        )["flow"]
-        speed_levels = self._speed_engine.infer_many(
-            {
-                "utilisation": np.array(
-                    [
-                        entry[2][core]
-                        for entry in active
-                        for core in entry[5]
-                    ]
-                ),
-                "temperature": np.array(
-                    [
-                        kelvin_to_celsius(entry[3][core])
-                        for entry in active
-                        for core in entry[5]
-                    ]
-                ),
-            }
-        )["speed"]
-
-        offset = 0
-        for entry, flow_level in zip(active, flow_levels):
-            index, controller, _, _, lost, cores, max_temp_c, _, _ = entry
-            flow = controller.quantise_flow(float(flow_level))
-            speeds = speed_levels[offset : offset + len(cores)]
-            offset += len(cores)
-            vf: Dict[Hashable, int] = {
-                core: controller.speed_to_vf_index(float(speed))
-                for core, speed in zip(cores, speeds)
-            }
-            for core in lost:
-                vf[core] = controller.vf_table.lowest_index
-            flow = controller._apply_flow_boost(flow)
-            if lost or max_temp_c >= constants.THERMAL_THRESHOLD_C:
-                flow = float(controller.flow_grid[-1])
-            decisions[index] = (flow, vf)
-        return decisions  # type: ignore[return-value]
 
 
 THERMAL_THRESHOLD_K = celsius_to_kelvin(constants.THERMAL_THRESHOLD_C)

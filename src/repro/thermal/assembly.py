@@ -27,20 +27,38 @@ the shared builder phase by phase, and reproduces the production
 matrices exactly.
 
 The two reduction loops (diagonal scatter-add, nonzero-diagonal
-gather) dispatch through :mod:`repro.thermal.jit`: numba-compiled when
-numba is installed and ``REPRO_JIT`` is not ``"0"``, the numpy
-primitives otherwise.  Both paths accumulate in the same order, so the
-assembled matrices are bitwise identical either way.
+gather) are single numpy C loops, :func:`accumulate_diagonal` and
+:func:`gather_nonzero`; the test suite pins both bitwise against
+explicit Python loops.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .jit import accumulate_diagonal, gather_nonzero
+
+def accumulate_diagonal(
+    indices: np.ndarray, weights: np.ndarray, n: int
+) -> np.ndarray:
+    """Ordered scatter-add of ``weights`` into an ``n``-vector.
+
+    ``out[indices[k]] += weights[k]`` for ``k`` in input order — the
+    diagonal-assembly reduction whose ordering the determinism contract
+    above is built on.  ``np.bincount`` with weights is exactly that
+    sequential, in-input-order float accumulation.
+    """
+    return np.bincount(indices, weights=weights, minlength=n)
+
+
+def gather_nonzero(
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indices, values)`` of the nonzero entries, in index order."""
+    idx = np.flatnonzero(values).astype(np.int32)
+    return idx, values[idx]
 
 
 class ConductanceBuilder:

@@ -13,7 +13,11 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from repro.geometry import CoolingMode, build_3d_mpsoc
-from repro.thermal.assembly import ConductanceBuilder
+from repro.thermal.assembly import (
+    ConductanceBuilder,
+    accumulate_diagonal,
+    gather_nonzero,
+)
 from repro.thermal.model import CompactThermalModel
 
 from .reference_assembly import reference_assemble
@@ -78,6 +82,48 @@ def test_builder_rejects_duplicate_off_diagonals():
     builder.add_edges([0], [1], 2.0)  # same edge again: contract violation
     with pytest.raises(AssertionError, match="duplicate"):
         builder.to_csr()
+
+
+def _accumulate_diagonal_loop(indices, weights, n):
+    """Sequential in-order scatter-add, spelled out."""
+    out = np.zeros(n)
+    for k in range(indices.size):
+        out[indices[k]] += weights[k]
+    return out
+
+
+def _gather_nonzero_loop(values):
+    """Indices and values of the nonzero entries, in index order."""
+    idx = np.array(
+        [k for k in range(values.size) if values[k] != 0.0], dtype=np.int32
+    )
+    return idx, np.array([values[k] for k in idx], dtype=np.float64)
+
+
+def test_accumulate_diagonal_matches_the_loop_reference_bitwise():
+    rng = np.random.default_rng(7)
+    indices = rng.integers(0, 257, size=10_000).astype(np.int32)
+    weights = rng.normal(scale=1e3, size=10_000)
+    fast = accumulate_diagonal(indices, weights, 257)
+    reference = _accumulate_diagonal_loop(indices, weights, 257)
+    assert np.array_equal(fast, reference)  # bitwise, not allclose
+
+
+def test_gather_nonzero_matches_the_loop_reference_bitwise():
+    rng = np.random.default_rng(8)
+    values = np.where(rng.random(500) < 0.4, 0.0, rng.normal(size=500))
+    idx, vals = gather_nonzero(values)
+    ref_idx, ref_vals = _gather_nonzero_loop(values)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(vals, ref_vals)
+    assert idx.dtype == np.int32
+
+
+def test_empty_and_all_zero_inputs():
+    out = accumulate_diagonal(np.zeros(0, np.int32), np.zeros(0), 4)
+    assert np.array_equal(out, np.zeros(4))
+    idx, vals = gather_nonzero(np.zeros(6))
+    assert idx.size == 0 and vals.size == 0
 
 
 def test_injection_matches_per_block_spreading():

@@ -1,15 +1,17 @@
 """Telemetry layer: span nesting, metric merge, manifests, overhead."""
 
+import functools
 import multiprocessing
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import __version__
-from repro.analysis import run_simulations_shared
+from repro.analysis import run_simulations, sweep
 from repro.analysis.sweep import resilient_fan_out
 from repro.obs import (
     JsonlSink,
@@ -144,18 +146,24 @@ def test_registry_snapshot_delta_merge():
     assert other.histogram("h").count == 2
 
 
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_metric_merge_across_pool_workers(start_method):
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{start_method} start method unavailable")
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_metric_merge_across_pool_workers(method, monkeypatch):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} start method unavailable")
+    monkeypatch.setattr(
+        sweep,
+        "ProcessPoolExecutor",
+        functools.partial(
+            ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context(method),
+        ),
+    )
     jobs = [_scenario("job-a"), _scenario("job-b", workload="web")]
     registry = get_registry()
     sink = MemorySink()
     before = registry.snapshot()
     with session(sink):
-        results = run_simulations_shared(
-            jobs, processes=2, start_method=start_method
-        )
+        results = run_simulations(jobs, processes=2)
     assert len(results) == 2
     delta = registry.delta_since(before)
     # Two 2 s runs at the 100 ms control period, merged back from the

@@ -52,6 +52,15 @@ def _hang_on_three(x: int) -> int:
     return x * x
 
 
+def _sleep_one_second(x: int) -> int:
+    time.sleep(1.0)
+    return x
+
+
+def _cube(x: int) -> int:
+    return x**3
+
+
 def _flaky_once(arg) -> int:
     marker, x = arg
     path = Path(marker)
@@ -164,9 +173,31 @@ def test_hanging_job_times_out_while_siblings_complete():
     assert failure.error_type == "TimeoutError"
 
 
+def test_timeout_does_not_count_time_queued_behind_siblings():
+    """Six 1 s jobs on two workers take 3 s, but each runs for 1 s."""
+    outcome = resilient_fan_out(
+        _sleep_one_second, range(6), processes=2, timeout_s=2.5, retries=0
+    )
+    assert outcome.failures == []
+    assert outcome.result_map() == {i: i for i in range(6)}
+
+
 # ---------------------------------------------------------------------------
 # checkpoint / resume
 # ---------------------------------------------------------------------------
+
+
+def test_checkpoint_of_another_sweep_with_the_same_count_is_ignored(
+    tmp_path,
+):
+    checkpoint = tmp_path / "sweep.ckpt"
+    resilient_fan_out(
+        _square, [1, 2, 3], keys=["a", "b", "c"], checkpoint_path=checkpoint
+    )
+    outcome = resilient_fan_out(
+        _cube, [4, 5, 6], keys=["x", "y", "z"], checkpoint_path=checkpoint
+    )
+    assert outcome.results == [("x", 64), ("y", 125), ("z", 216)]
 
 
 def test_checkpoint_resume_skips_completed_jobs(tmp_path):
@@ -226,14 +257,14 @@ def test_keyboard_interrupt_leaves_loadable_checkpoint(tmp_path):
     checkpoint = tmp_path / "sweep.ckpt"
     jobs = [(str(tmp_path), x) for x in range(6)]
 
-    # checkpoint_every is huge: the only save is the interrupt flush.
+    # Fewer jobs than CHECKPOINT_EVERY finish: the only save is the
+    # interrupt flush.
     with pytest.raises(KeyboardInterrupt):
         resilient_fan_out(
             _interrupt_on_three,
             jobs,
             retries=0,
             checkpoint_path=checkpoint,
-            checkpoint_every=1000,
         )
     payload = pickle.loads(checkpoint.read_bytes())
     assert sorted(payload["results"]) == [0, 1, 2]  # finished pre-Ctrl-C
@@ -275,7 +306,6 @@ resilient_fan_out(
     range(5),
     retries=0,
     checkpoint_path=Path(directory) / "sweep.ckpt",
-    checkpoint_every=1000,
 )
 """
 

@@ -9,13 +9,6 @@ from repro.analysis import (
     SimulationJob,
     run_simulations,
     run_simulations_resilient,
-    run_simulations_shared,
-)
-from repro.analysis.sweep import (
-    _build_shared_payload,
-    _clear_shared_payload,
-    _install_shared_payload,
-    _resolve_shared_simulator,
 )
 from repro.core import SystemSimulator, paper_policies
 from repro.faults import FaultScenario, run_fault_campaign
@@ -191,43 +184,6 @@ def test_scenario_job_rejects_mixed_construction():
         SimulationJob(stack=stack, scenario=scenario)
     with pytest.raises(ValueError, match="either a Scenario"):
         SimulationJob(stack=stack)
-
-
-def test_shared_serial_matches_plain_for_scenarios():
-    scenarios = [_scenario(workload="web"), _scenario(workload="database")]
-    plain = run_simulations(scenarios)
-    shared = run_simulations_shared(scenarios)
-    assert [(k, _fields(r)) for k, r in plain] == [
-        (k, _fields(r)) for k, r in shared
-    ]
-
-
-def test_shared_payload_dedupes_scenarios_and_models():
-    a = _scenario(workload="web")
-    b = _scenario(workload="database")
-    jobs = [SimulationJob.from_scenario(s) for s in (a, a, b)]
-    payload, refs = _build_shared_payload(jobs)
-    assert len(payload.scenarios) == 2
-    assert not payload.stacks and not payload.kwargs
-    assert refs[0].scenario == refs[1].scenario == 0
-    # same stack + solver spec -> one shared thermal model for all jobs
-    assert len({ref.model_key for ref in refs}) == 1
-    assert refs[0].model_key == a.model_hash()
-
-
-def test_shared_model_reused_across_scenario_jobs():
-    jobs = [
-        SimulationJob.from_scenario(_scenario(workload="web")),
-        SimulationJob.from_scenario(_scenario(workload="database")),
-    ]
-    payload, refs = _build_shared_payload(jobs)
-    _install_shared_payload(payload)
-    try:
-        first = _resolve_shared_simulator(refs[0])
-        second = _resolve_shared_simulator(refs[1])
-        assert second.model is first.model
-    finally:
-        _clear_shared_payload()
 
 
 def test_reused_model_runs_bitwise_equal_fresh_runs():

@@ -1,5 +1,9 @@
 """The sweep engine: batched steady solves and simulation fan-out."""
 
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,8 @@ from repro.analysis import (
 )
 from repro.core import paper_policies
 from repro.geometry import build_3d_mpsoc
-from repro.thermal import CompactThermalModel
+from repro.scenario import Scenario
+from repro.thermal import CompactThermalModel, CoolingDryoutError
 from repro.workload import paper_workload_suite
 
 
@@ -95,3 +100,75 @@ def test_run_simulations_fan_out(processes):
         assert result.workload == key
         assert result.duration == pytest.approx(2.0)
         assert result.peak_temperature_c > 27.0
+
+
+def _fail_slow_then_fast(arg):
+    directory, x = arg
+    (Path(directory) / f"ran-{x}.txt").write_text("ran")
+    if x == 0:
+        time.sleep(0.5)
+    raise ValueError(f"bad item {x}")
+
+
+@pytest.mark.parametrize("processes", [None, 2])
+def test_fan_out_reraises_the_first_failure_in_item_order(processes, tmp_path):
+    """Item 1 fails first in time, item 0 first in order: item 0 wins.
+
+    No item starts after a failure, so only the two that were running
+    ever ran (serially, only item 0).
+    """
+    items = [(str(tmp_path), x) for x in range(6)]
+    with pytest.raises(ValueError, match="bad item 0"):
+        fan_out(_fail_slow_then_fast, items, processes=processes)
+    ran = sorted(path.name for path in tmp_path.glob("ran-*.txt"))
+    expected = ["ran-0.txt"] if processes is None else ["ran-0.txt", "ran-1.txt"]
+    assert ran == expected
+
+
+def _dryout_scenario():
+    """A two-phase loop whose inlet is forced past the dry-out limit."""
+    return Scenario.from_dict(
+        {
+            "stack": {
+                "tiers": 2,
+                "two_phase": True,
+                "cooling_backend": {
+                    "backend": "two_phase",
+                    "refrigerant": "R245fa",
+                },
+            },
+            "workload": {"name": "web", "duration": 2},
+            "policy": {"name": "LC_FUZZY"},
+            "solver": {"nx": 12, "ny": 10},
+            "faults": {"flows": [{"kind": "dryout", "inlet_quality": 0.5}]},
+        }
+    )
+
+
+@pytest.mark.parametrize("processes", [None, 2])
+def test_run_simulations_raises_the_dryout_error(processes):
+    with pytest.raises(CoolingDryoutError):
+        run_simulations([_dryout_scenario()], processes=processes)
+
+
+class _PidJob(SimulationJob):
+    """A job whose ``run`` returns a tuple, like the benchmark's timed job."""
+
+    def run(self, cache=None):
+        return super().run(cache=cache), os.getpid()
+
+
+def test_run_simulations_returns_what_a_job_subclass_run_returns():
+    scenario = Scenario.from_dict(
+        {
+            "workload": {"name": "web", "duration": 2},
+            "policy": {"name": "LC_LB"},
+            "solver": {"nx": 12, "ny": 10},
+        }
+    )
+    jobs = [_PidJob.from_scenario(scenario, key=k) for k in ("a", "b")]
+    results = run_simulations(jobs, processes=2)
+    assert [key for key, _ in results] == ["a", "b"]
+    for _, (result, pid) in results:
+        assert result.duration == pytest.approx(2.0)
+        assert pid != os.getpid()  # ran in a pool worker
