@@ -1,4 +1,4 @@
-"""Direct vs iterative vs AMG steady-solve crossover on the 4-tier stack.
+"""Direct vs AMG steady-solve crossover on the 4-tier stack.
 
 Sweeps the per-level grid resolution from 50x50 to 500x500 and solves
 the same 4-tier steady problem with every backend tier, each in its
@@ -9,12 +9,10 @@ factorisation.  Each child routes its memory peaks (RSS plus a
 the memory curves come from the same telemetry surface as every other
 metric rollup.  All backends run under tracemalloc, so its (modest)
 allocation overhead cancels out of the crossover comparison.  The
-output justifies both limits in :mod:`repro.thermal.krylov`: below the
-crossover the SuperLU factorisation wins on wall time
-(``DIRECT_NODE_LIMIT``); above it the AMG-preconditioned BiCGSTAB
-beats plain ILU+BiCGSTAB at every measured size (``AMG_NODE_LIMIT ==
-DIRECT_NODE_LIMIT``, leaving the ILU tier as the guarded fallback).
-Direct LU is skipped above ``DIRECT_MAX_SIZE`` — its fill-in at
+output justifies ``DIRECT_NODE_LIMIT`` in :mod:`repro.thermal.krylov`:
+below it the cached SuperLU factorisation is the default, above it the
+AMG-preconditioned BiCGSTAB must win on wall time and stay in the 2 GB
+class.  Direct LU is skipped above ``DIRECT_MAX_SIZE`` — its fill-in at
 300x300 per level already exceeds the 2 GB class, and the point of the
 raw-speed tier is exactly that nobody should factorise a 500x500
 4-tier stack.
@@ -39,14 +37,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.thermal.krylov import amg_node_limit, direct_node_limit
+from repro.thermal.krylov import direct_node_limit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_thermal.json"
 
 SIZES = (50, 100, 150, 200, 300, 400, 500)
 QUICK_SIZES = (50, 100)
-METHODS = ("direct", "iterative", "amg")
+METHODS = ("direct", "amg")
 DIRECT_MAX_SIZE = 300
 """Largest per-level grid the direct LU is asked to factorise.
 
@@ -150,11 +148,6 @@ def beats(challenger, incumbent):
     return challenger["wall_s"] < incumbent["wall_s"]
 
 
-def iterative_wins(direct, iterative):
-    """Backward-compatible alias used by the committed reports/tests."""
-    return beats(iterative, direct)
-
-
 def _speedup(numerator, denominator):
     """``numerator`` wall time over ``denominator``'s, when both ran."""
     if (
@@ -188,34 +181,25 @@ def sweep(sizes=SIZES, timeout=TIMEOUT_S, verbose=False):
                     ),
                     flush=True,
                 )
-        entry["amg_speedup_over_iterative"] = _speedup(
-            entry["iterative"], entry["amg"]
+        entry["amg_speedup_over_direct"] = _speedup(
+            entry["direct"], entry["amg"]
         )
         curves.append(entry)
 
     crossover_nodes = None
-    amg_crossover_nodes = None
     for entry in curves:
-        if crossover_nodes is None and iterative_wins(
-            entry["direct"], entry["iterative"]
-        ):
+        if crossover_nodes is None and beats(entry["amg"], entry["direct"]):
             crossover_nodes = entry.get("nodes")
-        if amg_crossover_nodes is None and beats(
-            entry["amg"], entry["iterative"]
-        ):
-            amg_crossover_nodes = entry.get("nodes")
     return {
         "description": (
-            "4-tier steady solve, direct LU vs ILU+BiCGSTAB vs "
-            "AMG+BiCGSTAB; one subprocess per point so peak_rss_mb "
-            "isolates one factorisation; wall_s = cold assembly + "
-            "setup + solve, warm_solve_s = one cached repeat"
+            "4-tier steady solve, direct LU vs AMG+BiCGSTAB; one "
+            "subprocess per point so peak_rss_mb isolates one "
+            "factorisation; wall_s = cold assembly + setup + solve, "
+            "warm_solve_s = one cached repeat"
         ),
         "sizes": list(f"{s}x{s}" for s in sizes),
         "crossover_nodes": crossover_nodes,
-        "amg_crossover_nodes": amg_crossover_nodes,
         "direct_node_limit": direct_node_limit(),
-        "amg_node_limit": amg_node_limit(),
         "curves": curves,
     }
 
@@ -230,20 +214,18 @@ def merge_into_report(summary, path=REPORT_PATH):
 
 
 @pytest.mark.large_grid
-def test_crossover_iterative_beats_direct_at_large_grids():
-    """Above the auto-selection limit the iterative path must win."""
+def test_crossover_amg_beats_direct_at_large_grids():
+    """Above the auto-selection limit the AMG tier must win."""
     summary = sweep(sizes=(50, 150), timeout=TIMEOUT_S)
     small, large = summary["curves"]
     # 50x50 (30k nodes) sits below DIRECT_NODE_LIMIT: direct must work.
     assert small["direct"]["status"] == "ok"
-    # 150x150 per level (~270k nodes) is beyond the limit: the
-    # iterative backend must finish and beat (or outlive) direct LU.
+    # 150x150 per level (~270k nodes) is beyond the limit: the AMG
+    # tier must finish and beat (or outlive) direct LU.
     assert large["nodes"] > direct_node_limit()
-    assert iterative_wins(large["direct"], large["iterative"])
-    # The iterative path must stay in the 2 GB class at this size.
-    assert large["iterative"]["peak_rss_mb"] < 2048.0
-    # The raw-speed tier must beat plain ILU above the limit.
-    assert beats(large["amg"], large["iterative"])
+    assert beats(large["amg"], large["direct"])
+    # The AMG tier must stay in the 2 GB class at this size.
+    assert large["amg"]["peak_rss_mb"] < 2048.0
 
 
 def main(argv=None):
@@ -274,13 +256,9 @@ def main(argv=None):
     else:
         merge_into_report(summary)
         print(f"recorded in {REPORT_PATH.name}")
-    cross = summary["crossover_nodes"]
-    amg_cross = summary["amg_crossover_nodes"]
     print(
-        f"direct->iterative crossover at {cross} nodes, "
-        f"iterative->amg at {amg_cross} nodes "
-        f"(DIRECT_NODE_LIMIT={summary['direct_node_limit']}, "
-        f"AMG_NODE_LIMIT={summary['amg_node_limit']})"
+        f"direct->amg crossover at {summary['crossover_nodes']} nodes "
+        f"(DIRECT_NODE_LIMIT={summary['direct_node_limit']})"
     )
 
 

@@ -52,15 +52,14 @@ def _mean_time(fn: Callable[[], object], repeats: int) -> float:
 def solver_observability() -> Dict[str, object]:
     """How the tiered solver backend behaved on a representative load.
 
-    Exercises the steady and transient paths on the direct, iterative
-    and AMG backends of a 2-tier stack and reports the factor-cache
+    Exercises the steady and transient paths on the direct and AMG
+    backends of a 2-tier stack and reports the factor-cache
     statistics, the Krylov iteration counts and the fallback counts
     that ``repro bench-thermal`` prints.
     """
     stack = build_3d_mpsoc(2)
     models = [
         ("direct", CompactThermalModel(stack)),
-        ("iterative", CompactThermalModel(stack, solver="iterative")),
         ("amg", CompactThermalModel(stack, solver="amg")),
     ]
     powers = {ref: 2.0 for ref in models[0][1].block_masks()}

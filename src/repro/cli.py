@@ -48,6 +48,7 @@ from .scenario import (
     run_scenario,
 )
 from .scenario.spec import REFRIGERANT_CHOICES
+from .thermal.krylov import SOLVER_CHOICES
 from .twophase import HotSpotTestVehicle
 from .workload import paper_workload_suite, save_trace_csv
 
@@ -740,8 +741,7 @@ def cmd_bench_thermal(args: argparse.Namespace) -> int:
             print(
                 f"  {section.replace('_', ' ')} [{backend}]: "
                 f"direct={stats['direct_solves']} "
-                f"iterative={stats['iterative_solves']} "
-                f"amg={stats.get('amg_solves', 0)} "
+                f"amg={stats['amg_solves']} "
                 f"krylov_iterations={stats['krylov_iterations']} "
                 f"fallbacks={stats['fallbacks_to_direct']}"
             )
@@ -1115,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "direct", "iterative", "amg", "rom"),
+        choices=SOLVER_CHOICES,
         help="solver backend of the steady/transient measurements "
         "(default: auto; seed-baseline speedups only apply to auto)",
     )

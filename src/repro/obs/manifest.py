@@ -14,7 +14,7 @@ Schema (``MANIFEST_SCHEMA_VERSION`` guards evolution)::
       "type": "manifest", "schema": 1,
       "content_hash": "<sha256>", "label": "...",
       "version": "<repro version>",
-      "solver_backend": "direct" | "iterative" | "auto",
+      "solver_backend": "auto" | "direct" | "amg" | "rom",
       "wall_s": float, "cpu_s": float,
       "cached": bool,            # served from the result cache?
       "metrics": {name: {...}}   # MetricsRegistry delta of the run

@@ -285,8 +285,6 @@ def build_model(
             rtol=solver.rtol,
             atol=solver.atol,
             maxiter=solver.maxiter,
-            drop_tol=solver.drop_tol,
-            fill_factor=solver.fill_factor,
         ),
         rom=rom_options(scenario),
         rom_store=rom_store,

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import constants
+from ..thermal.krylov import SOLVER_CHOICES
 
 SCHEMA_VERSION = 1
 """Bumped on incompatible spec-format changes; part of the hash."""
@@ -39,7 +40,11 @@ COOLING_CHOICES = ("air", "liquid")
 WORKLOAD_SOURCES = ("suite", "generator")
 SUITE_WORKLOADS = ("web", "database", "multimedia", "max-utilisation")
 GENERATOR_WORKLOADS = SUITE_WORKLOADS + ("idle",)
-SOLVER_BACKENDS = ("auto", "direct", "iterative", "amg", "rom")
+LEGACY_SOLVER_FIELDS = {"drop_tol": 1e-3, "fill_factor": 4.0}
+"""The retired ILU knobs, frozen at their former defaults.  Every
+serialized solver payload still carries them so ``content_hash`` /
+``model_hash`` stay byte-identical across the retirement, and
+:meth:`SolverSpec.from_dict` accepts them only at these values."""
 SENSOR_FAULT_KINDS = ("dead", "stuck", "noisy")
 FLOW_FAULT_KINDS = ("pump-degradation", "clogged-cavity", "dryout")
 COOLING_BACKEND_CHOICES = ("single_phase_liquid", "air_sink", "two_phase")
@@ -537,7 +542,7 @@ class SolverSpec:
 
     Mirrors :class:`repro.thermal.model.CompactThermalModel` /
     :class:`repro.thermal.krylov.KrylovOptions` defaults; ``backend``
-    moves the PR-3 direct/iterative selection into the spec.  Backend
+    moves the direct/amg selection into the spec.  Backend
     ``"rom"`` enables the certified reduced-order fast path; its
     offline-build budget lives in the nested :class:`RomSpec` (optional
     — the defaults match the paper's 4-tier benchmark).
@@ -549,12 +554,10 @@ class SolverSpec:
     rtol: float = 1e-10
     atol: float = 0.0
     maxiter: int = 2000
-    drop_tol: float = 1e-3
-    fill_factor: float = 4.0
     rom: Optional[RomSpec] = None
 
     def __post_init__(self) -> None:
-        _check_choice(self.backend, SOLVER_BACKENDS, "backend")
+        _check_choice(self.backend, SOLVER_CHOICES, "backend")
         if self.rom is not None and self.backend != "rom":
             raise ScenarioError(
                 f"rom: ROM options require backend='rom', "
@@ -573,15 +576,22 @@ class SolverSpec:
             raise ScenarioError(
                 f"maxiter: must be >= 1, got {self.maxiter!r}"
             )
-        _check_positive(self.drop_tol, "drop_tol")
-        if self.fill_factor < 1.0:
-            raise ScenarioError(
-                f"fill_factor: must be >= 1, got {self.fill_factor!r}"
-            )
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "solver") -> "SolverSpec":
         data = _require_mapping(data, path)
+        for name, legacy in LEGACY_SOLVER_FIELDS.items():
+            value = _typed(data, name, (float,), path, default=legacy)
+            if value != legacy:
+                raise ScenarioError(
+                    f"{path}.{name}: the ILU solver tier is retired; only "
+                    f"the legacy value {legacy!r} is accepted, got {value!r}"
+                )
+        data = {
+            key: value
+            for key, value in data.items()
+            if key not in LEGACY_SOLVER_FIELDS
+        }
         _reject_unknown(data, cls, path)
         kwargs: Dict[str, Any] = {
             "backend": _typed(
@@ -593,7 +603,7 @@ class SolverSpec:
                 data, "maxiter", (int,), path, default=cls.maxiter
             ),
         }
-        for name in ("rtol", "atol", "drop_tol", "fill_factor"):
+        for name in ("rtol", "atol"):
             kwargs[name] = _typed(
                 data, name, (float,), path, default=getattr(cls, name)
             )
@@ -827,12 +837,16 @@ def _solver_plain(solver: "SolverSpec") -> Dict[str, Any]:
 
     Dropping the ``None`` placeholder keeps the serialized payload —
     and therefore ``content_hash`` / ``model_hash`` — byte-identical
-    to specs written before the ROM backend existed, so on-disk result
-    caches survive the upgrade.
+    to specs written before the ROM backend existed, and re-emitting
+    :data:`LEGACY_SOLVER_FIELDS` keeps it identical to specs written
+    while the ILU tier existed, so on-disk result caches and WAL
+    records survive both upgrades.
     """
     data = _to_plain(solver)
-    if data.get("rom") is None:
-        data.pop("rom", None)
+    rom = data.pop("rom", None)
+    data.update(LEGACY_SOLVER_FIELDS)
+    if rom is not None:
+        data["rom"] = rom
     return data
 
 

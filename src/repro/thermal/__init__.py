@@ -24,7 +24,6 @@ from .diagnostics import (
 from .krylov import (
     DIRECT_NODE_LIMIT,
     KrylovOptions,
-    KrylovSolver,
     choose_backend,
 )
 from .model import CacheInfo, CompactThermalModel, SPLU_OPTIONS
@@ -53,7 +52,6 @@ __all__ = [
     "TransientDivergenceError",
     "DIRECT_NODE_LIMIT",
     "KrylovOptions",
-    "KrylovSolver",
     "choose_backend",
     "TransientStepper",
     "TemperatureSensors",

@@ -1,10 +1,11 @@
-"""Algebraic-multigrid preconditioning for large steady thermal solves.
+"""Algebraic-multigrid preconditioning for large thermal solves.
 
 The conductance matrix ``A(f) = A_base + c(f) A_adv`` is an M-matrix:
-a 7-point Poisson-like stencil plus a mild upwind-advection part.  ILU
-preconditioning (PR 3) keeps the memory near ``4 x nnz(A)`` but its
-iteration count still grows with the grid side, and both the ILU setup
-and each triangular sweep are strictly sequential.  Algebraic
+a 7-point Poisson-like stencil plus a mild upwind-advection part (the
+transient systems ``C/dt + A(f)`` add a positive diagonal).  An
+incomplete-LU preconditioner keeps the memory low but its iteration
+count grows with the grid side, and both its setup and each triangular
+sweep are strictly sequential.  Algebraic
 multigrid restores near-O(n) behaviour: a hierarchy of coarsened
 Galerkin operators whose V-cycle contracts all error frequencies at
 once, applied here as a preconditioner for BiCGSTAB (the advection
@@ -448,7 +449,7 @@ class AmgPreconditioner:
     Setup failures raise
     :class:`~repro.thermal.diagnostics.FactorizationError` so the
     tiered solve paths treat a broken hierarchy exactly like a broken
-    ILU/LU factorisation (fall back one tier).  Setup wall time,
+    LU factorisation (fall back to the direct tier).  Setup wall time,
     hierarchy depth and operator complexity land in the
     ``solver.amg.*`` metrics and a ``solver.amg.setup`` span.
     """

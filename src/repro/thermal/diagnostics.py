@@ -63,19 +63,16 @@ class SolverDiagnostics:
     factor_evictions:
         Poisoned LU factors evicted while handling this solve.
     method:
-        ``"direct"`` (sparse LU), ``"bicgstab"`` (ILU-preconditioned
-        Krylov) or ``"bicgstab+amg"`` (AMG-preconditioned Krylov); the
-        method that produced the accepted solution.
+        ``"direct"`` (sparse LU), ``"bicgstab+amg"``
+        (AMG-preconditioned Krylov) or ``"rom"`` (certified reduced
+        model); the method that produced the accepted solution.
     iterations:
         Krylov iteration count when an iterative path ran, else
         ``None``.
     fallback_to_direct:
-        Whether the iterative solve failed to converge and the direct
+        Whether the AMG tier failed (broken hierarchy setup,
+        non-convergence or an out-of-tolerance residual) and the direct
         factorisation produced the accepted solution instead.
-    fallback_to_iterative:
-        Whether the AMG tier failed (broken hierarchy setup or
-        non-convergence) and the solve dropped to the ILU tier — the
-        first hop of the amg -> iterative -> direct chain.
     """
 
     kind: str
@@ -89,13 +86,12 @@ class SolverDiagnostics:
     method: str = "direct"
     iterations: Optional[int] = None
     fallback_to_direct: bool = False
-    fallback_to_iterative: bool = False
 
     def healthy(self, residual_tolerance: float = 1e-6) -> bool:
         """True when the solve needed no intervention and looks sane."""
         if not self.finite or self.retries or self.factor_evictions:
             return False
-        if self.fallback_to_direct or self.fallback_to_iterative:
+        if self.fallback_to_direct:
             return False
         if self.residual_norm is not None:
             return self.residual_norm <= residual_tolerance
@@ -142,10 +138,10 @@ class SolverStats:
     solve, this accumulates across a whole run so sweep drivers and the
     benchmark harness can report how the tiered backend actually
     behaved: how often each path ran, how many Krylov iterations were
-    spent, and how often the iterative path had to hand a solve back to
-    the direct factorisation.
+    spent, and how often the AMG tier had to hand a solve back to the
+    direct factorisation.
 
-    Backed by :class:`repro.obs.metrics.Counter` instances: the four
+    Backed by :class:`repro.obs.metrics.Counter` instances: the
     per-instance counters keep the historical per-model/per-stepper
     attribute semantics (``stats.direct_solves`` etc. read through to
     them), while every ``record`` also folds into the process-global
@@ -156,37 +152,27 @@ class SolverStats:
 
     _GLOBAL_NAMES = (
         "solver.direct_solves",
-        "solver.iterative_solves",
         "solver.amg_solves",
         "solver.krylov_iterations",
         "solver.fallbacks_to_direct",
-        "solver.fallbacks_to_iterative",
     )
 
     def __init__(self) -> None:
         self._direct = Counter("direct_solves")
-        self._iterative = Counter("iterative_solves")
         self._amg = Counter("amg_solves")
         self._krylov = Counter("krylov_iterations")
         self._fallbacks = Counter("fallbacks_to_direct")
-        self._fallbacks_iterative = Counter("fallbacks_to_iterative")
         registry = get_registry()
         (
             self._g_direct,
-            self._g_iterative,
             self._g_amg,
             self._g_krylov,
             self._g_fallbacks,
-            self._g_fallbacks_iterative,
         ) = (registry.counter(name) for name in self._GLOBAL_NAMES)
 
     @property
     def direct_solves(self) -> int:
         return self._direct.value
-
-    @property
-    def iterative_solves(self) -> int:
-        return self._iterative.value
 
     @property
     def amg_solves(self) -> int:
@@ -200,18 +186,11 @@ class SolverStats:
     def fallbacks_to_direct(self) -> int:
         return self._fallbacks.value
 
-    @property
-    def fallbacks_to_iterative(self) -> int:
-        return self._fallbacks_iterative.value
-
     def record(self, diagnostics: "SolverDiagnostics") -> None:
         """Fold one solve's diagnostics into the counters."""
         if diagnostics.iterations is not None:
             self._krylov.inc(diagnostics.iterations)
             self._g_krylov.inc(diagnostics.iterations)
-        if diagnostics.fallback_to_iterative:
-            self._fallbacks_iterative.inc()
-            self._g_fallbacks_iterative.inc()
         if diagnostics.fallback_to_direct:
             self._fallbacks.inc()
             self._g_fallbacks.inc()
@@ -223,19 +202,14 @@ class SolverStats:
         elif diagnostics.method == "bicgstab+amg":
             self._amg.inc()
             self._g_amg.inc()
-        else:
-            self._iterative.inc()
-            self._g_iterative.inc()
 
     def as_dict(self) -> dict:
         """Plain-dict view for JSON reports."""
         return {
             "direct_solves": self.direct_solves,
-            "iterative_solves": self.iterative_solves,
             "amg_solves": self.amg_solves,
             "krylov_iterations": self.krylov_iterations,
             "fallbacks_to_direct": self.fallbacks_to_direct,
-            "fallbacks_to_iterative": self.fallbacks_to_iterative,
         }
 
     def __repr__(self) -> str:
@@ -285,11 +259,11 @@ class TransientDivergenceError(ThermalSolveError):
 class IterativeConvergenceError(ThermalSolveError):
     """A Krylov solve did not converge to the requested tolerance.
 
-    Raised by :class:`repro.thermal.krylov.KrylovSolver` when BiCGSTAB
-    exhausts its iteration budget or breaks down.  The tiered solve
-    paths catch it and fall back to the direct factorisation; it only
-    propagates to callers that request the iterative backend
-    explicitly with the fallback disabled.
+    Raised by :class:`repro.thermal.krylov.AmgSolver` when BiCGSTAB
+    exhausts its iteration budget or breaks down.  The steady and
+    transient solve paths catch it and fall back to the direct
+    factorisation; it only reaches callers that drive an
+    :class:`~repro.thermal.krylov.AmgSolver` themselves.
     """
 
 

@@ -1,24 +1,21 @@
-"""Preconditioned Krylov solves for large thermal grids.
+"""Krylov solves for large thermal grids.
 
 Beyond roughly 200x200 cells per level the sparse direct LU becomes
 memory-bound: SuperLU fill-in grows superlinearly with the grid, so a
 300x300 4-tier stack (over a million nodes) needs many gigabytes for
 the factors alone.  The system ``A(f) = A_base + c(f) A_adv`` is an
-M-matrix (symmetric positive-definite conductance part) plus a skew
-upwind-advection part, which is exactly the regime where an incomplete
-LU preconditioner with a nonsymmetric Krylov method shines:
+M-matrix (symmetric positive-definite conductance part) plus a mildly
+nonsymmetric upwind-advection part, so the large-grid tier runs
+BiCGSTAB (no long GMRES recurrences) preconditioned by an
+algebraic-multigrid V-cycle (see :mod:`repro.thermal.amg`), whose
+iteration count stays nearly flat as the grid refines.  Warm starts
+from the previous solution (transient state, or the last steady solve
+at the same flow point) cut the iteration count further on the
+closed-loop and sweep hot paths.
 
-* **ILU** with a modest drop tolerance captures the strong vertical /
-  lateral couplings at a small multiple of ``nnz(A)`` memory,
-* **BiCGSTAB** handles the (mild) nonsymmetry of the advection stencil
-  without the long recurrences of GMRES,
-* **warm starts** from the previous solution (transient state, or the
-  last steady solve at the same flow point) cut the iteration count to
-  a handful on the closed-loop and sweep hot paths.
-
-:func:`choose_backend` implements the automatic direct↔iterative
-selection; :class:`KrylovSolver` packages one preconditioned operator
-so the steady and transient paths cache it exactly like they cache LU
+:func:`choose_backend` implements the automatic direct -> amg
+selection; :class:`AmgSolver` packages one preconditioned operator so
+the steady and transient paths cache it exactly like they cache LU
 factors.  Non-convergence raises
 :class:`~repro.thermal.diagnostics.IterativeConvergenceError`, which
 the tiered solve paths catch to fall back to the guarded direct LU.
@@ -29,111 +26,75 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import LinearOperator, bicgstab, spilu
+from scipy.sparse.linalg import bicgstab
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .diagnostics import FactorizationError, IterativeConvergenceError
+from .diagnostics import IterativeConvergenceError
 
 logger = logging.getLogger(__name__)
 
 DIRECT_NODE_LIMIT = 75_000
-"""Node count above which ``"auto"`` leaves the direct path.
+"""Node count above which ``"auto"`` leaves the direct path for AMG.
 
 Calibrated on the 4-tier stack (see
 ``benchmarks/bench_solver_crossover.py``): on a *cold single* solve
-ILU+BiCGSTAB already wins at 50x50 per level (30k nodes) and is ~2x
-faster at 100x100 (120k nodes) with a fraction of the memory.  The
-limit is deliberately higher than that cold crossover because the
+the AMG tier already wins at 50x50 per level (30k nodes).  The limit
+is deliberately higher than that cold crossover because the
 closed-loop and sweep paths amortise one cached LU over many repeated
 solves, where direct stays ahead until fill-in memory dominates.
 Override with the ``REPRO_DIRECT_NODE_LIMIT`` environment variable.
 """
 
-AMG_NODE_LIMIT = DIRECT_NODE_LIMIT
-"""Node count above which ``"auto"`` prefers AMG over plain ILU.
-
-The extended crossover sweep (``benchmarks/bench_solver_crossover.py``,
-curves in ``BENCH_thermal.json``) shows the AMG-preconditioned solve
-beating ILU+BiCGSTAB at every size above the direct limit — 8x at
-100x100 per level and widening with the grid — so by default the
-iterative ILU tier has no ``"auto"`` window of its own and serves as
-the guarded fallback of the AMG tier (amg -> iterative -> direct).
-Raise ``REPRO_AMG_NODE_LIMIT`` above ``REPRO_DIRECT_NODE_LIMIT`` to
-re-open an ILU window between the two for A/B experiments.
-"""
-
-SOLVER_CHOICES = ("auto", "direct", "iterative", "amg", "rom")
+SOLVER_CHOICES = ("auto", "direct", "amg", "rom")
 """Accepted solver-backend selections.
 
 ``"amg"`` runs BiCGSTAB preconditioned by an algebraic-multigrid
 V-cycle (see :mod:`repro.thermal.amg`) — the raw-speed tier for large
-steady grids, with a guarded fallback chain amg -> iterative ->
-direct.  ``"rom"`` selects the certified reduced-order fast path (see
+steady and transient grids, guarded by a fallback to the direct LU.
+``"rom"`` selects the certified reduced-order fast path (see
 :mod:`repro.thermal.rom`): queries inside the snapshot trust region are
 served in microseconds from the projected system, everything else falls
 through to the exact backend that ``"auto"`` would have chosen.
 """
 
-_ENV_WARNED: Set[str] = set()
+DIRECT_NODE_LIMIT_ENV = "REPRO_DIRECT_NODE_LIMIT"
+
+_env_warned = False
 
 
-def _env_node_limit(name: str, default: int) -> int:
-    """Parse a node-limit environment override.
+def direct_node_limit() -> int:
+    """The direct-tier threshold, honouring the env override.
 
     A malformed value must not silently vanish into the default: it is
     counted (``solver.env.invalid``), traced and logged once per
     process so a typo in a job script shows up in telemetry instead of
     quietly mis-tiering every solve.
     """
-    raw = os.environ.get(name)
+    global _env_warned
+    raw = os.environ.get(DIRECT_NODE_LIMIT_ENV)
     if raw is None:
-        return default
+        return DIRECT_NODE_LIMIT
     try:
         return max(0, int(raw))
     except ValueError:
         get_registry().counter("solver.env.invalid").inc()
-        if name not in _ENV_WARNED:
-            _ENV_WARNED.add(name)
+        if not _env_warned:
+            _env_warned = True
             logger.warning(
                 "ignoring malformed %s=%r (not an integer); using the "
                 "default %d",
-                name,
+                DIRECT_NODE_LIMIT_ENV,
                 raw,
-                default,
+                DIRECT_NODE_LIMIT,
             )
             get_tracer().event(
-                "solver.env.invalid", variable=name, value=raw
+                "solver.env.invalid", variable=DIRECT_NODE_LIMIT_ENV, value=raw
             )
-        return default
-
-
-def direct_node_limit() -> int:
-    """The direct-tier threshold, honouring the env override."""
-    return _env_node_limit("REPRO_DIRECT_NODE_LIMIT", DIRECT_NODE_LIMIT)
-
-
-def amg_node_limit() -> int:
-    """The AMG-tier threshold, honouring the env override."""
-    return _env_node_limit("REPRO_AMG_NODE_LIMIT", AMG_NODE_LIMIT)
-
-
-def estimate_direct_factor_bytes(n_nodes: int, nnz: int) -> int:
-    """Rough memory estimate of a sparse LU factorisation [bytes].
-
-    Fill-in for these 7-point-stencil stacks grows like the bandwidth
-    of the nested-dissection separators — empirically ~``nnz *
-    sqrt(n) / 40`` nonzeros across the 50x50..300x300 range — times 12
-    bytes per stored entry (value + index).  Order-of-magnitude only;
-    used to explain the auto selection in logs and docs, not to gate
-    allocations.
-    """
-    fill = max(1.0, np.sqrt(float(n_nodes)) / 40.0)
-    return int(nnz * fill * 12)
+        return DIRECT_NODE_LIMIT
 
 
 def choose_backend(
@@ -146,13 +107,12 @@ def choose_backend(
     Parameters
     ----------
     requested:
-        ``"auto"``, ``"direct"``, ``"iterative"``, ``"amg"`` or
-        ``"rom"``.  Explicit requests pass through (``"rom"`` is a
-        tier of its own — its *exact fallback* backend is resolved
-        separately via :func:`exact_fallback_backend`); ``"auto"``
-        picks by problem size: direct at or below the direct node
-        limit, ILU+BiCGSTAB up to the (by default empty) iterative
-        window, AMG-preconditioned BiCGSTAB above it.
+        ``"auto"``, ``"direct"``, ``"amg"`` or ``"rom"``.  Explicit
+        requests pass through (``"rom"`` is a tier of its own — its
+        *exact fallback* backend is resolved separately via
+        :func:`exact_fallback_backend`); ``"auto"`` picks by problem
+        size: direct at or below the direct node limit,
+        AMG-preconditioned BiCGSTAB above it.
     n_nodes:
         Problem size (grid nodes).
     node_limit:
@@ -167,12 +127,7 @@ def choose_backend(
         _count_selection(requested)
         return requested
     limit = direct_node_limit() if node_limit is None else node_limit
-    if n_nodes <= limit:
-        resolved = "direct"
-    elif n_nodes <= max(limit, amg_node_limit()):
-        resolved = "iterative"
-    else:
-        resolved = "amg"
+    resolved = "direct" if n_nodes <= limit else "amg"
     _count_selection(resolved)
     return resolved
 
@@ -183,8 +138,8 @@ def exact_fallback_backend(
     """The exact backend a rejected ROM query falls back to.
 
     The ROM's fallback chain reuses the ``"auto"`` size rule: rom ->
-    amg (itself guarded by iterative then direct) above the node
-    limit, rom -> direct below it.  Counted as a regular selection so
+    amg (itself guarded by direct) above the node limit, rom -> direct
+    below it.  Counted as a regular selection so
     the `solver.backend_selected.*` counters reflect what actually
     ran.
     """
@@ -207,7 +162,7 @@ def _count_selection(resolved: str) -> None:
 
 @dataclass(frozen=True)
 class KrylovOptions:
-    """Tuning knobs of the ILU-preconditioned BiCGSTAB solve.
+    """Convergence controls of the AMG-preconditioned BiCGSTAB solve.
 
     Attributes
     ----------
@@ -218,22 +173,14 @@ class KrylovOptions:
     maxiter:
         Iteration budget before
         :class:`~repro.thermal.diagnostics.IterativeConvergenceError`.
-        Cold-start counts grow roughly linearly with the grid side
-        (57 at 50x50 per level to ~550 at 300x300 on the 4-tier
-        stack), so the default leaves headroom beyond the largest
-        benchmarked grid; warm starts need a small fraction of it.
-    drop_tol, fill_factor:
-        ILU sparsity controls (see ``scipy.sparse.linalg.spilu``).  The
-        defaults keep the preconditioner near ``4 x nnz(A)`` — measured
-        best wall-time on the 4-tier stack and far below direct-LU
-        fill at large grids.
+        The default leaves wide headroom over the cold-start counts of
+        the benchmarked grids; warm starts need a small fraction of
+        it.
     """
 
     rtol: float = 1e-10
     atol: float = 0.0
     maxiter: int = 2000
-    drop_tol: float = 1e-3
-    fill_factor: float = 4.0
 
     def __post_init__(self) -> None:
         if not (self.rtol > 0.0 or self.atol > 0.0):
@@ -242,116 +189,23 @@ class KrylovOptions:
             raise ValueError("maxiter must be at least 1")
 
 
-class KrylovSolver:
-    """One preconditioned iterative operator, cacheable like an LU factor.
+class AmgSolver:
+    """AMG-preconditioned BiCGSTAB, cacheable like an LU factor.
+
+    The (expensive) hierarchy construction happens in the constructor
+    so the steady and transient caches can account it exactly like an
+    LU factorisation, and each :meth:`solve` costs a handful of
+    V-cycle-preconditioned BiCGSTAB sweeps.  On the Poisson-like
+    conductance matrices the iteration count is nearly
+    size-independent, which is what makes the tier near-O(n).
 
     Parameters
     ----------
     matrix:
         The system matrix (``A(f)`` for steady solves, ``C/dt + A(f)``
-        for transient steps).  Converted to CSC once for the ILU.
+        for transient steps).
     options:
-        Solver tuning; defaults to :class:`KrylovOptions`.
-
-    The ILU factorisation happens in the constructor so the steady /
-    transient caches can account it exactly like a direct
-    factorisation; each :meth:`solve` then costs only the BiCGSTAB
-    sweeps.  ``iterations_total`` accumulates across solves for
-    observability.
-    """
-
-    method = "bicgstab"
-
-    def __init__(
-        self,
-        matrix,
-        options: Optional[KrylovOptions] = None,
-    ) -> None:
-        self.options = options if options is not None else KrylovOptions()
-        self.matrix = matrix.tocsr()
-        csc = csc_matrix(matrix)
-        try:
-            self._ilu = spilu(
-                csc,
-                drop_tol=self.options.drop_tol,
-                fill_factor=self.options.fill_factor,
-            )
-        except Exception as exc:
-            raise FactorizationError(
-                f"ILU preconditioner construction failed: {exc}"
-            ) from exc
-        self._preconditioner = LinearOperator(
-            matrix.shape, matvec=self._ilu.solve
-        )
-        self.iterations_total = 0
-        self.solve_count = 0
-
-    def solve(
-        self,
-        rhs: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """Solve ``A x = rhs``; returns ``(solution, iterations)``.
-
-        Parameters
-        ----------
-        rhs:
-            Right-hand side (1-D).
-        x0:
-            Warm-start initial guess; a good guess (previous transient
-            state, previous steady solve at the same flow point) cuts
-            the iteration count dramatically.
-
-        Raises
-        ------
-        IterativeConvergenceError
-            When BiCGSTAB exhausts ``maxiter`` or breaks down, or the
-            solution contains non-finite entries.
-        """
-        iterations = 0
-
-        def count(_xk: np.ndarray) -> None:
-            nonlocal iterations
-            iterations += 1
-
-        solution, info = bicgstab(
-            self.matrix,
-            rhs,
-            x0=x0,
-            rtol=self.options.rtol,
-            atol=self.options.atol,
-            maxiter=self.options.maxiter,
-            M=self._preconditioner,
-            callback=count,
-        )
-        self.iterations_total += iterations
-        self.solve_count += 1
-        if info != 0 or not np.all(np.isfinite(solution)):
-            raise IterativeConvergenceError(
-                f"BiCGSTAB did not converge (info={info}) after "
-                f"{iterations} iterations at rtol={self.options.rtol:g}"
-            )
-        return solution, iterations
-
-
-class AmgSolver:
-    """AMG-preconditioned BiCGSTAB, cacheable like an LU factor.
-
-    The raw-speed twin of :class:`KrylovSolver`: the (expensive)
-    hierarchy construction happens in the constructor so the steady
-    cache can account it exactly like an LU/ILU setup, and each
-    :meth:`solve` costs a handful of V-cycle-preconditioned BiCGSTAB
-    sweeps.  On the Poisson-like conductance matrices the iteration
-    count is nearly size-independent, which is what makes the tier
-    near-O(n) where ILU iteration counts grow with the grid side.
-
-    Parameters
-    ----------
-    matrix:
-        The system matrix ``A(f)``.
-    options:
-        Convergence controls (``rtol``/``atol``/``maxiter``); the ILU
-        knobs of :class:`KrylovOptions` are ignored here.
+        Convergence controls; defaults to :class:`KrylovOptions`.
     amg:
         Hierarchy knobs; defaults to
         :class:`~repro.thermal.amg.AmgOptions`.
@@ -364,7 +218,8 @@ class AmgSolver:
     :class:`~repro.thermal.diagnostics.FactorizationError`;
     non-convergence raises
     :class:`~repro.thermal.diagnostics.IterativeConvergenceError`.
-    The tiered steady path catches both to fall back to the ILU tier.
+    The steady and transient paths catch both to fall back to the
+    guarded direct LU.
     """
 
     method = "bicgstab+amg"

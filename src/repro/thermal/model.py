@@ -86,7 +86,6 @@ from .krylov import (
     SOLVER_CHOICES,
     AmgSolver,
     KrylovOptions,
-    KrylovSolver,
     choose_backend,
     exact_fallback_backend,
 )
@@ -170,21 +169,18 @@ class CompactThermalModel:
         resolves to 8, overridable through the ``REPRO_LU_CACHE_SIZE``
         environment variable.  Ignored when ``bank`` is given.
     solver:
-        Steady-solve backend: ``"direct"`` (sparse LU), ``"iterative"``
-        (ILU-preconditioned BiCGSTAB with warm starts and a guarded
-        direct fallback), ``"amg"`` (algebraic-multigrid-preconditioned
-        BiCGSTAB — the raw-speed tier for large grids, guarded by the
-        fallback chain amg -> iterative -> direct), ``"rom"`` (the
-        certified reduced-order fast path of :mod:`repro.thermal.rom`,
-        falling back to the exact auto-resolved backend whenever the
-        certified error bound or the snapshot trust region rejects a
-        query) or ``"auto"`` (direct below
-        :data:`repro.thermal.krylov.DIRECT_NODE_LIMIT` nodes, AMG
-        above — large grids stay out of LU fill-in memory; see
-        :func:`repro.thermal.krylov.choose_backend` for the tunable
-        ILU window between the two).
+        Steady-solve backend: ``"direct"`` (sparse LU), ``"amg"``
+        (algebraic-multigrid-preconditioned BiCGSTAB with warm starts —
+        the raw-speed tier for large grids, guarded by a fallback to
+        the direct LU), ``"rom"`` (the certified reduced-order fast
+        path of :mod:`repro.thermal.rom`, falling back to the exact
+        auto-resolved backend whenever the certified error bound or
+        the snapshot trust region rejects a query) or ``"auto"``
+        (direct up to :data:`repro.thermal.krylov.DIRECT_NODE_LIMIT`
+        nodes, AMG above — large grids stay out of LU fill-in memory;
+        see :func:`repro.thermal.krylov.choose_backend`).
     krylov:
-        Tuning of the iterative path; defaults to
+        Convergence controls of the AMG tier; defaults to
         :class:`~repro.thermal.krylov.KrylovOptions`.
     rom:
         Build plan of the reduced-order fast path (only read when
@@ -295,22 +291,14 @@ class CompactThermalModel:
         self._rom_key = rom_key
         self._rom: Optional[object] = None
         self._c_rom_fallback = registry.counter("rom.fallback")
-        # Iterative-path state, keyed like the LU cache: one
-        # ILU-preconditioned operator per flow state, plus the last
-        # solution at that state as the warm-start guess.  The AMG tier
-        # keeps its (much more expensive to set up) hierarchies in a
-        # third cache under the same keys and shares the warm starts.
-        self._steady_krylov: "OrderedDict[object, KrylovSolver]" = OrderedDict()
+        # AMG-tier state, keyed like the LU cache: one hierarchy per
+        # flow state, plus the last solution at that state as the
+        # warm-start guess.
         self._steady_amg_solvers: "OrderedDict[object, AmgSolver]" = (
             OrderedDict()
         )
         self._steady_warm: Dict[object, np.ndarray] = {}
-        self._c_fallback_amg = registry.counter(
-            "solver.fallback.amg_to_iterative"
-        )
-        self._c_fallback_iterative = registry.counter(
-            "solver.fallback.iterative_to_direct"
-        )
+        self._c_fallback_amg = registry.counter("solver.fallback.amg_to_direct")
         # Cooling backends: one per cavity, dispatched on the cavity
         # type.  Dynamic two-phase backends (and their grid levels) are
         # collected during assembly; their moving saturation anchors
@@ -1019,19 +1007,17 @@ class CompactThermalModel:
         Returns whether an entry was actually evicted.  Guarded solves
         call this when a factor produces non-finite or out-of-tolerance
         solutions, so a retry refactorises instead of reusing the bad
-        factor.  Covers every backend: the LU factor, the ILU
-        preconditioner/warm-start state and the AMG hierarchy of the
-        same key.
+        factor.  Covers both exact backends: the LU factor and the AMG
+        hierarchy (with its warm start) of the same key.
         """
         key = self._steady_key(flow_ml_min)
         dropped_lu = self.factor_bank.pop(self._steady_bank_key(flow_ml_min))
-        dropped_ilu = self._steady_krylov.pop(key, None) is not None
         dropped_amg = self._steady_amg_solvers.pop(key, None) is not None
         self._steady_warm.pop(key, None)
         self._g_steady_currsize.set(
             self.factor_bank.count(self.bank_key, "steady")
         )
-        return dropped_lu or dropped_ilu or dropped_amg
+        return dropped_lu or dropped_amg
 
     def steady_cache_info(self) -> CacheInfo:
         """Hit/miss statistics of the steady-factor cache."""
@@ -1045,12 +1031,10 @@ class CompactThermalModel:
     def clear_steady_cache(self) -> None:
         """Drop all cached steady factorisations (and their statistics).
 
-        Covers every backend: direct LU factors, the iterative path's
-        ILU preconditioners, the AMG hierarchies and the shared
-        warm-start guesses.
+        Covers both exact backends: direct LU factors, the AMG
+        hierarchies and their warm-start guesses.
         """
         self.factor_bank.drop(self.bank_key, "steady")
-        self._steady_krylov.clear()
         self._steady_amg_solvers.clear()
         self._steady_warm.clear()
         self._steady_hits.reset()
@@ -1062,49 +1046,37 @@ class CompactThermalModel:
 
         ``"auto"`` resolves by problem size (see
         :func:`repro.thermal.krylov.choose_backend`); explicit
-        ``"direct"`` / ``"iterative"`` requests pass through.
+        ``"direct"`` / ``"amg"`` / ``"rom"`` requests pass through.
         """
         return choose_backend(self.solver, self.grid.size)
 
-    def steady_krylov_solver(
-        self, flow_ml_min: Optional[float] = None
-    ) -> KrylovSolver:
-        """Cached ILU-preconditioned operator of ``A(f)``.
+    def amg_solver(
+        self, matrix, options: Optional[KrylovOptions] = None
+    ) -> AmgSolver:
+        """An AMG-preconditioned operator of ``matrix`` on this grid.
 
-        The iterative twin of :meth:`steady_factor`: keyed by the same
-        flow signatures, bounded by the same LRU budget, and therefore
-        equally immune to stale entries after flow changes.
+        The hierarchy setup is handed the grid extents so the
+        pure-scipy builder aggregates geometrically (see
+        :mod:`repro.thermal.amg`).  Shared by the steady cache
+        (``A(f)``) and the transient stepper (``C/dt + A(f)``).
         """
-        key = self._steady_key(flow_ml_min)
-        solver = self._steady_krylov.get(key)
-        if solver is not None:
-            self._steady_krylov.move_to_end(key)
-            self._steady_hits.inc()
-            self._g_steady_hits.inc()
-            return solver
-        self._steady_misses.inc()
-        self._g_steady_misses.inc()
-        solver = KrylovSolver(
-            self.system_matrix(flow_ml_min), self.krylov_options
+        return AmgSolver(
+            matrix,
+            options if options is not None else self.krylov_options,
+            grid_shape=(self.grid.levels, self.grid.ny, self.grid.nx),
+            n_extra=1 if self.grid.has_sink_node else 0,
         )
-        self._steady_krylov[key] = solver
-        if len(self._steady_krylov) > self._max_steady_factors:
-            evicted, _ = self._steady_krylov.popitem(last=False)
-            self._steady_warm.pop(evicted, None)
-        return solver
 
     def steady_amg_solver(
         self, flow_ml_min: Optional[float] = None
     ) -> AmgSolver:
         """Cached AMG-preconditioned operator of ``A(f)``.
 
-        The raw-speed twin of :meth:`steady_krylov_solver`: keyed by
-        the same flow signatures and bounded by the same LRU budget.
-        The hierarchy setup is handed the grid extents so the
-        pure-scipy builder aggregates geometrically (see
-        :mod:`repro.thermal.amg`); per-level operators are then reused
-        by every solve at that flow state — across a whole sweep when
-        the model is shared through the fan-out prewarm.
+        The large-grid twin of :meth:`steady_factor`: keyed by the same
+        flow signatures and bounded by the same LRU budget, so it is
+        equally immune to stale entries after flow changes.  Per-level
+        operators are reused by every solve at that flow state; an
+        evicted hierarchy takes its warm start with it.
         """
         key = self._steady_key(flow_ml_min)
         solver = self._steady_amg_solvers.get(key)
@@ -1115,15 +1087,11 @@ class CompactThermalModel:
             return solver
         self._steady_misses.inc()
         self._g_steady_misses.inc()
-        solver = AmgSolver(
-            self.system_matrix(flow_ml_min),
-            self.krylov_options,
-            grid_shape=(self.grid.levels, self.grid.ny, self.grid.nx),
-            n_extra=1 if self.grid.has_sink_node else 0,
-        )
+        solver = self.amg_solver(self.system_matrix(flow_ml_min))
         self._steady_amg_solvers[key] = solver
         if len(self._steady_amg_solvers) > self._max_steady_factors:
-            self._steady_amg_solvers.popitem(last=False)
+            evicted, _ = self._steady_amg_solvers.popitem(last=False)
+            self._steady_warm.pop(evicted, None)
         return solver
 
     def _steady_amg(
@@ -1131,11 +1099,11 @@ class CompactThermalModel:
     ) -> Tuple[Optional[np.ndarray], Optional[int]]:
         """One AMG steady solve; ``(None, iterations)`` on failure.
 
-        Mirrors :meth:`_steady_iterative`: warm-starts from the last
-        solution at the same flow state, evicts the hierarchy on
-        non-convergence or an out-of-tolerance residual, and reports
-        failure so the caller drops to the ILU tier of the
-        amg -> iterative -> direct chain.
+        Warm-starts from the last solution at the same flow state.  A
+        broken hierarchy setup, non-convergence or an out-of-tolerance
+        residual evicts the hierarchy (it may have been built from a
+        poisoned matrix) and reports failure so the caller falls back
+        to the guarded direct LU.
         """
         key = self._steady_key(flow_ml_min)
         try:
@@ -1157,37 +1125,6 @@ class CompactThermalModel:
         self._steady_warm[key] = values
         return values, iterations
 
-    def _steady_iterative(
-        self, q: np.ndarray, flow_ml_min: Optional[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[int]]:
-        """One iterative steady solve; ``(None, iterations)`` on failure.
-
-        Warm-starts from the last solution at the same flow state.  A
-        non-convergent or out-of-tolerance solve evicts the
-        preconditioner (it may have been built from a poisoned matrix)
-        and reports failure so the caller falls back to the guarded
-        direct path.
-        """
-        key = self._steady_key(flow_ml_min)
-        try:
-            solver = self.steady_krylov_solver(flow_ml_min)
-        except FactorizationError:
-            return None, None
-        try:
-            values, iterations = solver.solve(q, x0=self._steady_warm.get(key))
-        except IterativeConvergenceError:
-            self._steady_krylov.pop(key, None)
-            self._steady_warm.pop(key, None)
-            return None, solver.iterations_total
-        if self.guard.residual_tolerance is not None:
-            residual = relative_residual(solver.matrix, values, q)
-            if residual > self.guard.residual_tolerance:
-                self._steady_krylov.pop(key, None)
-                self._steady_warm.pop(key, None)
-                return None, iterations
-        self._steady_warm[key] = values
-        return values, iterations
-
     def steady_state(
         self,
         block_powers: Dict[BlockRef, float],
@@ -1197,8 +1134,8 @@ class CompactThermalModel:
 
         The backend follows :meth:`steady_backend`: large grids run
         AMG-preconditioned BiCGSTAB (warm-started per flow state) and
-        drop down the guarded chain amg -> iterative -> direct on
-        failure; small grids run the direct LU outright.  Either way
+        fall back to the guarded direct LU on failure; small grids run
+        the direct LU outright.  Either way
         the solve is guarded per ``self.guard``: non-finite solutions
         evict the (poisoned) cached factor, one refactorised retry is
         attempted, and a persistent failure raises
@@ -1218,12 +1155,11 @@ class CompactThermalModel:
                     return field
                 # Certified bound or trust region rejected the query:
                 # fall through to the exact backend the "auto" rule
-                # picks (rom -> amg/iterative -> direct above the node
-                # limit, rom -> direct below it).  The exact path is
+                # picks (rom -> amg -> direct above the node limit,
+                # rom -> direct below it).  The exact path is
                 # byte-for-byte the non-rom code below, so fallback
                 # results are bitwise identical to a plain exact model.
                 backend = exact_fallback_backend(self.grid.size)
-            amg_fallback = False
             # Dynamic two-phase anchors enter as a pure rhs delta; the
             # matrix (and every cached factor/preconditioner) is
             # untouched, and the branch is never taken on legacy paths.
@@ -1251,48 +1187,14 @@ class CompactThermalModel:
                     self.last_steady_diagnostics = diagnostics
                     self.steady_stats.record(diagnostics)
                     return TemperatureField(self.grid, values)
-                # First hop of the guarded chain: the ILU tier answers
-                # exactly like a plain solver="iterative" model would.
+                # The guarded direct LU answers exactly like a plain
+                # solver="direct" model would.
                 self._c_fallback_amg.inc()
                 tracer.event(
                     "amg.fallback", kind="steady", iterations=iterations
                 )
-                amg_fallback = True
-                backend = "iterative"
-            if backend == "iterative":
-                q = self.power_vector(block_powers) + self.boundary_rhs(
-                    flow_ml_min
-                )
-                if cooling is not None:
-                    q = q + cooling
-                values, iterations = self._steady_iterative(q, flow_ml_min)
-                if values is not None:
-                    residual = None
-                    if self.guard.residual_tolerance is not None:
-                        residual = relative_residual(
-                            self.system_matrix(flow_ml_min), values, q
-                        )
-                    diagnostics = SolverDiagnostics(
-                        kind="steady",
-                        residual_norm=residual,
-                        finite=True,
-                        method="bicgstab",
-                        iterations=iterations,
-                        fallback_to_iterative=amg_fallback,
-                    )
-                    self.last_steady_diagnostics = diagnostics
-                    self.steady_stats.record(diagnostics)
-                    return TemperatureField(self.grid, values)
-                self._c_fallback_iterative.inc()
-                tracer.event(
-                    "krylov.fallback", kind="steady", iterations=iterations
-                )
                 return self._steady_direct(
-                    q,
-                    flow_ml_min,
-                    fallback=True,
-                    iterations=iterations,
-                    amg_fallback=amg_fallback,
+                    q, flow_ml_min, fallback=True, iterations=iterations
                 )
             factor = self.steady_factor(flow_ml_min)
             q = self.power_vector(block_powers) + self.boundary_rhs(flow_ml_min)
@@ -1397,9 +1299,8 @@ class CompactThermalModel:
         factor: Optional[object] = None,
         fallback: bool = False,
         iterations: Optional[int] = None,
-        amg_fallback: bool = False,
     ) -> TemperatureField:
-        """The guarded direct-LU steady solve (also the Krylov fallback)."""
+        """The guarded direct-LU steady solve (also the AMG fallback)."""
         if factor is None:
             factor = self.steady_factor(flow_ml_min)
         values = factor.solve(q)
@@ -1418,7 +1319,6 @@ class CompactThermalModel:
                     factor_evictions=evictions,
                     iterations=iterations,
                     fallback_to_direct=fallback,
-                    fallback_to_iterative=amg_fallback,
                 )
                 self.last_steady_diagnostics = diagnostics
                 raise NonFiniteFieldError(
@@ -1443,7 +1343,6 @@ class CompactThermalModel:
                     factor_evictions=evictions,
                     iterations=iterations,
                     fallback_to_direct=fallback,
-                    fallback_to_iterative=amg_fallback,
                 )
                 self.last_steady_diagnostics = diagnostics
                 self.evict_steady_factor(flow_ml_min)
@@ -1461,7 +1360,6 @@ class CompactThermalModel:
             factor_evictions=evictions,
             iterations=iterations,
             fallback_to_direct=fallback,
-            fallback_to_iterative=amg_fallback,
         )
         self.last_steady_diagnostics = diagnostics
         self.steady_stats.record(diagnostics)

@@ -14,6 +14,12 @@ cheap.  The boundary vector
 factor, so a cached step performs exactly one spmv (power injection),
 one triangular solve pair, and one vector add.
 
+Large grids (the ``"amg"`` tier) replace the LU factor by an
+AMG-preconditioned BiCGSTAB operator of the same matrix, cached under
+the same ``(flow signature, dt)`` keys and warm-started from the
+current state; a solve that fails there is handed to the guarded
+direct LU.
+
 Every step is guarded (see :class:`~repro.thermal.diagnostics.SolverGuard`):
 non-finite solutions evict the offending LU factor — a retry therefore
 refactorises instead of reusing a poisoned factor — and the step is
@@ -48,8 +54,8 @@ from ..obs.metrics import Counter, get_registry
 from ..obs.trace import get_tracer
 from .field import TemperatureField
 from .krylov import (
+    AmgSolver,
     KrylovOptions,
-    KrylovSolver,
     choose_backend,
     exact_fallback_backend,
 )
@@ -64,13 +70,13 @@ from .model import (
 from .rom import RomRejection
 
 FactorKey = Tuple[FlowSignature, float]
-"""Key of one iterative-path operator: ``(flow signature, dt)``."""
+"""Key of one AMG-tier operator: ``(flow signature, dt)``."""
 
 FactorEntry = Tuple[object, np.ndarray, object]
 """One cache entry: ``(LU factor, boundary rhs, system matrix)``."""
 
-KrylovEntry = Tuple[KrylovSolver, np.ndarray]
-"""One iterative-path cache entry: ``(preconditioned solver, boundary rhs)``."""
+AmgEntry = Tuple[AmgSolver, np.ndarray]
+"""One AMG-tier cache entry: ``(preconditioned solver, boundary rhs)``."""
 
 AttemptOutcome = Tuple[
     np.ndarray, bool, Optional[float], str, Optional[int], bool
@@ -101,23 +107,20 @@ class TransientStepper:
     guard:
         Numerical-guard configuration; defaults to the model's.
     solver:
-        Backend selection (``"auto"`` / ``"direct"`` / ``"iterative"``
-        / ``"amg"`` / ``"rom"``); defaults to the model's.  The
-        ``"amg"`` steady tier shares the iterative transient path (the
-        ``C/dt`` shift already makes ILU-BiCGSTAB converge in a few
-        iterations, so a per-``(flow, dt)`` hierarchy would be wasted
-        setup).  The iterative path
-        solves ``(C/dt + A(f))`` with ILU-preconditioned BiCGSTAB
-        warm-started from the previous state — the dominant-diagonal
-        ``C/dt`` makes these systems converge in a handful of
-        iterations — and falls back to the guarded direct LU on
-        non-convergence.  The ``"rom"`` path advances a certified
+        Backend selection (``"auto"`` / ``"direct"`` / ``"amg"`` /
+        ``"rom"``); defaults to the model's.  The ``"amg"`` path
+        solves ``(C/dt + A(f))`` with AMG-preconditioned BiCGSTAB —
+        one hierarchy per ``(flow signature, dt)``, built on the grid
+        like the model's steady hierarchies — warm-started from the
+        previous state, and falls back to the guarded direct LU on a
+        broken setup, non-convergence or an out-of-tolerance
+        residual.  The ``"rom"`` path advances a certified
         reduced state (see :mod:`repro.thermal.rom`) and transparently
         falls back to the exact backend — re-synchronising the reduced
         state afterwards — whenever the error bound or trust region
         rejects a step.
     krylov:
-        Iterative-path tuning; defaults to the model's.
+        Convergence controls of the AMG tier; defaults to the model's.
 
     Notes
     -----
@@ -169,9 +172,9 @@ class TransientStepper:
             if model.factor_bank.byte_capped
             else FactorBank(max_entries=max_cached_factors)
         )
-        # Iterative-path twin: one ILU-preconditioned operator plus its
-        # boundary rhs per (flow signature, dt).
-        self._krylov: "OrderedDict[FactorKey, KrylovEntry]" = OrderedDict()
+        # AMG-tier twin: one hierarchy plus its boundary rhs per
+        # (flow signature, dt), under the same LRU bound.
+        self._amg: "OrderedDict[FactorKey, AmgEntry]" = OrderedDict()
         # Per-stepper cache counters mirrored into the global registry
         # (same pattern as the model's steady-factor cache).
         self._hits = Counter("transient_cache.hits")
@@ -180,6 +183,7 @@ class TransientStepper:
         self._g_hits = registry.counter("thermal.transient_cache.hits")
         self._g_misses = registry.counter("thermal.transient_cache.misses")
         self._c_steps = registry.counter("thermal.transient_steps")
+        self._c_fallback_amg = registry.counter("solver.fallback.amg_to_direct")
         # Capacity/occupancy gauges (process-global rollup: with several
         # live steppers the last writer wins, which is fine for the
         # single-simulator runs these exist to observe).
@@ -230,7 +234,7 @@ class TransientStepper:
 
     @property
     def backend(self) -> str:
-        """The resolved backend (``"direct"``/``"iterative"``/``"rom"``)."""
+        """The resolved backend (``"direct"``/``"amg"``/``"rom"``)."""
         return self._backend
 
     def _exact(self) -> str:
@@ -239,29 +243,28 @@ class TransientStepper:
             self._exact_backend = exact_fallback_backend(self.model.grid.size)
         return self._exact_backend
 
-    def _krylov_factor(self, dt: Optional[float] = None) -> KrylovEntry:
-        """Cached ILU-preconditioned operator of ``C/dt + A(f)``."""
-        dt = self.dt if dt is None else dt
+    def _amg_factor(self, dt: float) -> AmgEntry:
+        """Cached AMG-preconditioned operator of ``C/dt + A(f)``."""
         key: FactorKey = (self.model.flow_signature(), dt)
-        entry = self._krylov.get(key)
+        entry = self._amg.get(key)
         if entry is not None:
-            self._krylov.move_to_end(key)
+            self._amg.move_to_end(key)
             self._hits.inc()
             self._g_hits.inc()
             return entry
         self._misses.inc()
         self._g_misses.inc()
         matrix = self.model.system_matrix() + diags(self._c_over(dt))
-        solver = KrylovSolver(matrix, self.krylov_options)
+        solver = self.model.amg_solver(matrix, self.krylov_options)
         entry = (solver, self.model.boundary_rhs())
-        self._krylov[key] = entry
-        if len(self._krylov) > self._max_cached:
-            self._krylov.popitem(last=False)
+        self._amg[key] = entry
+        if len(self._amg) > self._max_cached:
+            self._amg.popitem(last=False)
         return entry
 
-    def _evict_krylov(self, dt: float) -> bool:
+    def _evict_amg(self, dt: float) -> bool:
         key: FactorKey = (self.model.flow_signature(), dt)
-        return self._krylov.pop(key, None) is not None
+        return self._amg.pop(key, None) is not None
 
     def evict_factor(self, dt: Optional[float] = None) -> bool:
         """Drop the cached factor of the current flow state at ``dt``.
@@ -269,14 +272,14 @@ class TransientStepper:
         Guarded steps call this when a factor yields non-finite or
         out-of-tolerance solutions, so the retry refactorises instead of
         reusing the poisoned factor.  Returns whether an entry existed
-        (in either the direct or the iterative cache).
+        (in either the direct or the AMG cache).
         """
         dt = self.dt if dt is None else dt
         dropped_lu = self._bank.pop(self._bank_key(dt))
-        dropped_ilu = self._evict_krylov(dt)
+        dropped_amg = self._evict_amg(dt)
         if dropped_lu:
             self._g_currsize.set(float(self.cached_factor_count))
-        return dropped_lu or dropped_ilu
+        return dropped_lu or dropped_amg
 
     @property
     def cached_factor_count(self) -> int:
@@ -390,9 +393,9 @@ class TransientStepper:
     ) -> AttemptOutcome:
         """One unguarded backward-Euler solve; reports solution health.
 
-        On the iterative backend this tries the warm-started Krylov
-        solve first and hands the step to the direct factorisation
-        when it does not converge (``fell_back=True`` in the outcome);
+        On the AMG backend this tries the warm-started Krylov solve
+        first and hands the step to the direct factorisation when it
+        fails (``fell_back=True`` in the outcome);
         the guarded retry/backoff logic above never needs to know which
         backend produced the solution.
         """
@@ -407,20 +410,15 @@ class TransientStepper:
             # A rejected rom step lands here; it runs on whatever exact
             # backend the "auto" size rule picks for this grid.
             backend = self._exact()
-        if backend in ("iterative", "amg"):
-            # The C/dt shift makes transient systems strongly
-            # diagonally dominant: ILU-BiCGSTAB converges in a handful
-            # of iterations, so an AMG hierarchy per (flow, dt) key
-            # would cost more setup than it could save.  The amg
-            # backend therefore shares the iterative transient tier.
+        if backend == "amg":
             try:
-                solver, boundary = self._krylov_factor(dt)
+                solver, boundary = self._amg_factor(dt)
                 rhs = self._c_over(dt) * values + power + boundary
                 if cooling is not None:
                     rhs = rhs + cooling
                 solution, iterations = solver.solve(rhs, x0=values)
             except (FactorizationError, IterativeConvergenceError):
-                self._evict_krylov(dt)
+                self._evict_amg(dt)
                 fell_back = True
             else:
                 residual: Optional[float] = None
@@ -433,11 +431,12 @@ class TransientStepper:
                         ok = False
                 if ok:
                     return (
-                        solution, True, residual, "bicgstab", iterations,
-                        False,
+                        solution, True, residual, "bicgstab+amg",
+                        iterations, False,
                     )
-                self._evict_krylov(dt)
+                self._evict_amg(dt)
                 fell_back = True
+            self._c_fallback_amg.inc()
         factor, boundary, matrix = self._factor(dt)
         rhs = self._c_over(dt) * values + power + boundary
         if cooling is not None:
@@ -472,7 +471,7 @@ class TransientStepper:
                     )
                     if diagnostics.fallback_to_direct:
                         tracer.event(
-                            "krylov.fallback",
+                            "amg.fallback",
                             kind="transient",
                             iterations=diagnostics.iterations,
                         )
@@ -553,8 +552,8 @@ class TransientStepper:
             retries or evictions or self.guard.residual_tolerance is not None
         ):
             # Only when a direct factor produced the solution: computing
-            # the estimate on the iterative path would force exactly the
-            # LU factorisation the backend exists to avoid.
+            # the estimate on the AMG path would force exactly the LU
+            # factorisation the backend exists to avoid.
             condition = condition_estimate_from_factor(
                 self._factor(dt_effective)[0]
             )

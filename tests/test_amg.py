@@ -201,7 +201,7 @@ def test_amg_steady_matches_direct(uniform_core_powers, liquid_stack_2tier):
     diagnostics = amg.last_steady_diagnostics
     assert diagnostics.method == "bicgstab+amg"
     assert diagnostics.iterations is not None
-    assert not diagnostics.fallback_to_iterative
+    assert not diagnostics.fallback_to_direct
     assert amg.steady_stats.amg_solves == 1
     assert amg.steady_stats.direct_solves == 0
 
@@ -220,6 +220,18 @@ def test_amg_solver_cache_and_eviction(liquid_stack_2tier):
     assert model.last_steady_diagnostics.iterations == 0
     assert model.evict_steady_factor()  # drops the cached hierarchy
     assert not model.evict_steady_factor()
+
+
+def test_amg_lru_eviction_drops_the_warm_start(liquid_stack_2tier):
+    """An LRU-evicted hierarchy takes its n-float warm start with it."""
+    model = CompactThermalModel(
+        liquid_stack_2tier, nx=12, ny=10, solver="amg", max_steady_factors=2
+    )
+    powers = {ref: 2.0 for ref in model.block_order}
+    for flow in (10.0, 15.0, 20.0, 25.0, 30.0):
+        model.steady_state(powers, flow)
+    assert len(model._steady_amg_solvers) == 2
+    assert set(model._steady_warm) == set(model._steady_amg_solvers)
 
 
 def test_amg_setup_telemetry(liquid_stack_2tier):

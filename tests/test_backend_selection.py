@@ -1,21 +1,19 @@
-"""Backend tiering pinned at the limits, env overrides, fallback chain."""
+"""Backend tiering pinned at the limit, env override, fallback chain."""
 
 import numpy as np
 import pytest
 
 from repro.geometry import CoolingMode, build_3d_mpsoc
 from repro.obs.metrics import get_registry
-from repro.thermal import CompactThermalModel
+from repro.thermal import CompactThermalModel, TransientStepper
 from repro.thermal.diagnostics import (
     FactorizationError,
     IterativeConvergenceError,
 )
 from repro.thermal.krylov import (
-    AMG_NODE_LIMIT,
     DIRECT_NODE_LIMIT,
     SOLVER_CHOICES,
     AmgSolver,
-    amg_node_limit,
     choose_backend,
     direct_node_limit,
     exact_fallback_backend,
@@ -26,7 +24,6 @@ from repro.thermal.rom import RomOptions
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_DIRECT_NODE_LIMIT", raising=False)
-    monkeypatch.delenv("REPRO_AMG_NODE_LIMIT", raising=False)
 
 
 @pytest.mark.parametrize(
@@ -35,9 +32,6 @@ def _clean_env(monkeypatch):
         (1, "direct"),
         (DIRECT_NODE_LIMIT - 1, "direct"),
         (DIRECT_NODE_LIMIT, "direct"),
-        # AMG_NODE_LIMIT defaults to DIRECT_NODE_LIMIT, so the ILU tier
-        # has no auto window of its own: above the limit auto goes
-        # straight to the raw-speed tier.
         (DIRECT_NODE_LIMIT + 1, "amg"),
         (10 * DIRECT_NODE_LIMIT, "amg"),
     ],
@@ -46,7 +40,7 @@ def test_auto_tier_pinned_at_the_node_limit(n_nodes, expected):
     assert choose_backend("auto", n_nodes) == expected
 
 
-@pytest.mark.parametrize("backend", ["direct", "iterative", "amg", "rom"])
+@pytest.mark.parametrize("backend", ["direct", "amg", "rom"])
 @pytest.mark.parametrize("n_nodes", [1, DIRECT_NODE_LIMIT, 10**9])
 def test_explicit_requests_pass_through(backend, n_nodes):
     assert backend in SOLVER_CHOICES
@@ -57,12 +51,10 @@ def test_explicit_requests_pass_through(backend, n_nodes):
     "override,n_nodes,expected",
     [
         ("100", 100, "direct"),
-        # Between the lowered direct limit and the default AMG limit
-        # the ILU window is open.
-        ("100", 101, "iterative"),
-        ("0", 1, "iterative"),
+        ("100", 101, "amg"),
+        ("0", 1, "amg"),
         ("0", 0, "direct"),
-        ("-5", 1, "iterative"),  # negative clamps to 0
+        ("-5", 1, "amg"),  # negative clamps to 0
         ("junk", DIRECT_NODE_LIMIT, "direct"),  # malformed -> default
         ("junk", DIRECT_NODE_LIMIT + 1, "amg"),
     ],
@@ -80,24 +72,6 @@ def test_direct_node_limit_reads_env(monkeypatch):
     assert direct_node_limit() == 42
     monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "not-a-number")
     assert direct_node_limit() == DIRECT_NODE_LIMIT
-
-
-def test_amg_node_limit_defaults_and_reads_env(monkeypatch):
-    assert AMG_NODE_LIMIT == DIRECT_NODE_LIMIT
-    assert amg_node_limit() == AMG_NODE_LIMIT
-    monkeypatch.setenv("REPRO_AMG_NODE_LIMIT", "123456")
-    assert amg_node_limit() == 123456
-    monkeypatch.setenv("REPRO_AMG_NODE_LIMIT", "banana")
-    assert amg_node_limit() == AMG_NODE_LIMIT
-
-
-def test_amg_node_limit_reopens_the_ilu_window(monkeypatch):
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "100")
-    monkeypatch.setenv("REPRO_AMG_NODE_LIMIT", "1000")
-    assert choose_backend("auto", 100) == "direct"
-    assert choose_backend("auto", 500) == "iterative"
-    assert choose_backend("auto", 1000) == "iterative"
-    assert choose_backend("auto", 1001) == "amg"
 
 
 def test_malformed_env_limit_is_counted(monkeypatch):
@@ -125,7 +99,7 @@ def test_rom_exact_fallback_follows_the_auto_rule(n_nodes, expected):
 
 def test_rom_exact_fallback_honours_env(monkeypatch):
     monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "10")
-    assert exact_fallback_backend(11) == "iterative"
+    assert exact_fallback_backend(11) == "amg"
     assert exact_fallback_backend(10) == "direct"
 
 
@@ -134,10 +108,10 @@ def test_unknown_backend_rejected():
         choose_backend("quantum", 100)
 
 
-def test_rom_chain_falls_back_to_iterative_then_direct(monkeypatch):
-    """rom -> iterative -> direct: an out-of-trust rom query on a grid
-    above the (env-lowered) node limit runs the Krylov path, whose own
-    direct fallback remains behind it."""
+def test_rom_chain_falls_back_to_amg_then_direct(monkeypatch):
+    """rom -> amg -> direct: an out-of-trust rom query on a grid above
+    the (env-lowered) node limit runs the AMG tier, whose own direct
+    fallback remains behind it."""
     stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
     opts = RomOptions(
         flow_points=3,
@@ -147,7 +121,7 @@ def test_rom_chain_falls_back_to_iterative_then_direct(monkeypatch):
         transient_snapshots=3,
     )
     model = CompactThermalModel(stack, nx=12, ny=10, solver="rom", rom=opts)
-    reference = CompactThermalModel(stack, nx=12, ny=10, solver="iterative")
+    reference = CompactThermalModel(stack, nx=12, ny=10, solver="amg")
     powers = {
         ref: 2.0 for ref in model.block_order
     }
@@ -155,7 +129,7 @@ def test_rom_chain_falls_back_to_iterative_then_direct(monkeypatch):
     reference.set_flow(5.0)
     monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "1")
     field = model.steady_state(powers)
-    assert model.last_steady_diagnostics.method == "bicgstab"
+    assert model.last_steady_diagnostics.method == "bicgstab+amg"
     expected = reference.steady_state(powers)
     assert np.array_equal(field.values, expected.values)
 
@@ -172,7 +146,7 @@ def test_rom_chain_falls_back_to_iterative_then_direct(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# forced-failure amg -> iterative -> direct chain
+# forced-failure amg -> direct chain
 # ---------------------------------------------------------------------------
 
 
@@ -191,40 +165,10 @@ def _force_amg_failure(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("failure", ["setup", "convergence"])
-def test_amg_chain_falls_back_to_iterative(monkeypatch, failure):
-    """amg -> iterative: a broken AMG tier must answer through the ILU
-    path with observables bitwise identical to a plain iterative model,
-    and the hop must land in the fallback counters."""
-    stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
-    model = CompactThermalModel(stack, nx=12, ny=10, solver="amg")
-    reference = CompactThermalModel(stack, nx=12, ny=10, solver="iterative")
-    powers = {ref: 2.0 for ref in model.block_order}
-    registry = get_registry()
-    start = registry.snapshot()
-    _force_amg_failure(monkeypatch, failure)
-    field = model.steady_state(powers)
-    diagnostics = model.last_steady_diagnostics
-    assert diagnostics.method == "bicgstab"
-    assert diagnostics.fallback_to_iterative
-    assert not diagnostics.fallback_to_direct
-    assert not diagnostics.healthy()
-    assert model.steady_stats.fallbacks_to_iterative == 1
-    assert model.steady_stats.iterative_solves == 1
-    assert model.steady_stats.amg_solves == 0
-    delta = registry.delta_since(start)
-    assert delta["solver.fallback.amg_to_iterative"]["value"] == 1
-    assert "solver.fallback.iterative_to_direct" not in delta
-    expected = reference.steady_state(powers)
-    assert np.array_equal(field.values, expected.values)
-
-
-@pytest.mark.parametrize("failure", ["setup", "convergence"])
-def test_amg_chain_falls_back_to_iterative_then_direct(monkeypatch, failure):
-    """amg -> iterative -> direct: with both Krylov tiers broken the
-    guarded direct LU must produce the exact direct-model observables
-    while both fallback hops are counted."""
-    import repro.thermal.model as model_module
-
+def test_amg_chain_falls_back_to_direct(monkeypatch, failure):
+    """amg -> direct: a broken AMG tier must answer through the guarded
+    direct LU with observables bitwise identical to a plain direct
+    model, and the hop must land in the fallback counters."""
     stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
     model = CompactThermalModel(stack, nx=12, ny=10, solver="amg")
     reference = CompactThermalModel(stack, nx=12, ny=10, solver="direct")
@@ -232,22 +176,42 @@ def test_amg_chain_falls_back_to_iterative_then_direct(monkeypatch, failure):
     registry = get_registry()
     start = registry.snapshot()
     _force_amg_failure(monkeypatch, failure)
-
-    class BrokenKrylov:
-        def __init__(self, *args, **kwargs):
-            raise FactorizationError("forced ILU setup failure")
-
-    monkeypatch.setattr(model_module, "KrylovSolver", BrokenKrylov)
     field = model.steady_state(powers)
     diagnostics = model.last_steady_diagnostics
     assert diagnostics.method == "direct"
-    assert diagnostics.fallback_to_iterative
     assert diagnostics.fallback_to_direct
-    assert model.steady_stats.fallbacks_to_iterative == 1
+    assert not diagnostics.healthy()
     assert model.steady_stats.fallbacks_to_direct == 1
     assert model.steady_stats.direct_solves == 1
+    assert model.steady_stats.amg_solves == 0
     delta = registry.delta_since(start)
-    assert delta["solver.fallback.amg_to_iterative"]["value"] == 1
-    assert delta["solver.fallback.iterative_to_direct"]["value"] == 1
+    assert delta["solver.fallback.amg_to_direct"]["value"] == 1
     expected = reference.steady_state(powers)
     assert np.array_equal(field.values, expected.values)
+
+
+@pytest.mark.parametrize("failure", ["setup", "convergence"])
+def test_transient_amg_chain_falls_back_to_direct(monkeypatch, failure):
+    """The transient amg -> direct hop: every step of a broken AMG
+    stepper is answered by the direct LU, bitwise like a direct
+    stepper, and counted once per hop."""
+    stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
+    model = CompactThermalModel(stack, nx=12, ny=10)
+    powers = {ref: 2.0 for ref in model.block_order}
+    initial = model.steady_state(powers)
+    reference = TransientStepper(model, 0.1, initial, solver="direct")
+    stepper = TransientStepper(model, 0.1, initial, solver="amg")
+    registry = get_registry()
+    start = registry.snapshot()
+    _force_amg_failure(monkeypatch, failure)
+    for _ in range(3):
+        reference.step(powers)
+        stepper.step(powers)
+    diagnostics = stepper.last_diagnostics
+    assert diagnostics.method == "direct"
+    assert diagnostics.fallback_to_direct
+    assert stepper.stats.fallbacks_to_direct == 3
+    assert stepper.stats.amg_solves == 0
+    delta = registry.delta_since(start)
+    assert delta["solver.fallback.amg_to_direct"]["value"] == 3
+    assert np.array_equal(stepper.state.values, reference.state.values)

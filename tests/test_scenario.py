@@ -5,6 +5,7 @@ import multiprocessing
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,49 @@ def test_model_hash_ignores_non_model_fields():
         solver=SolverSpec(nx=13, ny=10)
     ).model_hash()
     assert base.content_hash() != same_model.content_hash()
+
+
+# -- retired ILU solver knobs ----------------------------------------------
+
+EXAMPLE_SPECS = sorted(
+    (Path(__file__).resolve().parents[1] / "examples" / "specs").glob("*.json")
+)
+
+
+@pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda path: path.name)
+def test_example_specs_hash_the_same_with_the_retired_ilu_keys(path):
+    data = json.loads(path.read_text())
+    assert "drop_tol" not in data["solver"]
+    without = Scenario.from_dict(data)
+    data["solver"].update(drop_tol=0.001, fill_factor=4.0)
+    with_keys = Scenario.from_dict(data)
+    assert with_keys.content_hash() == without.content_hash()
+    assert with_keys.model_hash() == without.model_hash()
+    # The payload behind both hashes still carries the legacy values.
+    solver = without.to_dict()["solver"]
+    assert (solver["drop_tol"], solver["fill_factor"]) == (0.001, 4.0)
+
+
+@pytest.mark.parametrize("field,value", [("drop_tol", 1e-4), ("fill_factor", 8)])
+def test_retired_ilu_keys_accept_only_their_legacy_values(field, value):
+    data = _scenario().to_dict()
+    data["solver"][field] = value
+    with pytest.raises(
+        ScenarioError, match=rf"scenario\.solver\.{field}: the ILU solver tier"
+    ):
+        Scenario.from_dict(data)
+
+
+def test_retired_iterative_backend_is_an_unknown_choice():
+    data = _scenario().to_dict()
+    data["solver"]["backend"] = "iterative"
+    with pytest.raises(
+        ScenarioError,
+        match=r"scenario\.solver\.backend: unknown value 'iterative'",
+    ):
+        Scenario.from_dict(data)
+    with pytest.raises(ScenarioError, match="backend: unknown value"):
+        SolverSpec(backend="iterative")
 
 
 # -- malformed specs --------------------------------------------------------
