@@ -9,7 +9,7 @@ Four studies on the heat-transfer structure of a liquid cavity:
 3. Fluid focusing: flow distribution with and without guiding
    structures to a hot channel column.
 4. A steady-state flow sweep of the full 2-tier compact model via the
-   sweep engine (one LU factorisation per flow, multi-RHS solves).
+   sweep engine (one cached LU factorisation per flow).
 
 The independent design points of studies 1 and 3 run through the sweep
 engine's ``fan_out``; pass a process count to parallelise them:
@@ -168,8 +168,8 @@ def study_focusing(processes=None) -> None:
 def study_flow_sweep() -> None:
     """Peak steady temperature vs coolant flow on the compact model.
 
-    One ``SteadySweep`` call: the engine factorises A(f) once per flow
-    and solves every power case against it in a single multi-RHS solve.
+    One ``SteadySweep`` call: each case is a ``steady_state`` solve,
+    and A(f) is factorised once per flow (cached by the model).
     """
     from repro.geometry import build_3d_mpsoc
     from repro.thermal import CompactThermalModel

@@ -1,11 +1,10 @@
 """Sweep engine for design-space and policy studies.
 
-* :class:`SteadySweep` — batched steady-state solves over one thermal
-  model.  Cases are grouped by flow state so each distinct ``A(f)`` is
-  factorised once (through the model's steady-factor cache) and solved
-  with one multi-right-hand-side triangular solve.  SuperLU processes
-  the RHS columns independently, so the fields are bitwise identical
-  to point-by-point :meth:`CompactThermalModel.steady_state` calls.
+* :class:`SteadySweep` — steady-state solves over one thermal model,
+  each one :meth:`CompactThermalModel.steady_state` call, so every
+  case gets the model's backend choice, guards and dynamic two-phase
+  rhs, and each distinct flow state is factorised once (through the
+  model's steady cache).
 * One executor for every fan-out: :func:`fan_out` and
   :func:`resilient_fan_out` map a function over independent work
   items, serially or across a ``concurrent.futures`` process pool.
@@ -105,12 +104,12 @@ class SteadyCase:
 
 
 class SteadySweep:
-    """Batched steady solves against one :class:`CompactThermalModel`.
+    """Steady solves of many cases against one :class:`CompactThermalModel`.
 
     Parameters
     ----------
     model:
-        The model to sweep.  Its steady-factor cache is shared, so
+        The model to sweep.  Its steady cache is shared, so
         interleaving sweeps with individual ``steady_state`` calls
         never refactorises needlessly.
     """
@@ -119,38 +118,12 @@ class SteadySweep:
         self.model = model
 
     def solve(self, cases: Sequence[SteadyCase]) -> List[TemperatureField]:
-        """Solve all cases, returned in input order.
-
-        Cases are grouped by flow override; each group is one
-        factorisation (cached) plus one multi-RHS solve.
-        """
-        groups: Dict[object, List[int]] = {}
-        for index, case in enumerate(cases):
-            key = (
-                None
-                if case.flow_ml_min is None
-                else round(float(case.flow_ml_min), 6)
-            )
-            groups.setdefault(key, []).append(index)
-
-        results: List[Optional[TemperatureField]] = [None] * len(cases)
-        for key, indices in groups.items():
-            flow = None if key is None else cases[indices[0]].flow_ml_min
-            factor = self.model.steady_factor(flow)
-            boundary = self.model.boundary_rhs(flow)
-            rhs = np.empty((self.model.grid.size, len(indices)))
-            for column, index in enumerate(indices):
-                rhs[:, column] = (
-                    self.model.power_vector(dict(cases[index].block_powers))
-                    + boundary
-                )
-            solution = factor.solve(rhs)
-            for column, index in enumerate(indices):
-                results[index] = TemperatureField(
-                    self.model.grid, np.ascontiguousarray(solution[:, column])
-                )
-        assert all(field_ is not None for field_ in results)
-        return results  # type: ignore[return-value]
+        """Solve all cases, returned in input order; each result is
+        bitwise the model's own ``steady_state`` answer."""
+        return [
+            self.model.steady_state(dict(case.block_powers), case.flow_ml_min)
+            for case in cases
+        ]
 
     def peak_temperatures(self, cases: Sequence[SteadyCase]) -> np.ndarray:
         """Stack peak temperature per case [K] (convenience)."""

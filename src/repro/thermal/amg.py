@@ -54,6 +54,7 @@ from scipy.sparse.linalg import LinearOperator, splu
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
+from .bank import entry_bytes
 from .diagnostics import FactorizationError
 
 AMG_FORCE_ENV = "REPRO_AMG"
@@ -309,6 +310,10 @@ class _ScipyAmg:
         self.operator_complexity = (
             sum(m.nnz for m in self._As) + A.nnz
         ) / nnz_fine
+        # The finest operator is the caller's matrix, counted by its owner.
+        self.nbytes = entry_bytes(
+            (*self._As[1:], *self._Ps, *self._Rs, *self._dinv, self._coarse)
+        )
 
     # -- construction ---------------------------------------------------
 
@@ -426,6 +431,16 @@ class _PyamgAdapter:
         self._M = self._ml.aspreconditioner(cycle="V")
         self.level_sizes = [lv.A.shape[0] for lv in self._ml.levels]
         self.operator_complexity = float(self._ml.operator_complexity())
+        levels = self._ml.levels
+        self.nbytes = entry_bytes(
+            tuple(level.A for level in levels[1:])
+            + tuple(
+                getattr(level, name)
+                for level in levels
+                for name in ("P", "R")
+                if hasattr(level, name)
+            )
+        )
 
     def cycle(self, b: np.ndarray) -> np.ndarray:
         return self._M.matvec(b)
@@ -504,6 +519,11 @@ class AmgPreconditioner:
     def operator_complexity(self) -> float:
         """``sum(nnz(A_l)) / nnz(A_0)`` — the classic memory metric."""
         return self._hierarchy.operator_complexity
+
+    @property
+    def nbytes(self) -> int:
+        """Resident size of the coarse levels and transfer operators."""
+        return self._hierarchy.nbytes
 
     def cycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle approximating ``A^-1 b``."""

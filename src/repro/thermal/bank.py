@@ -1,13 +1,16 @@
-"""One cache for every sparse LU factorisation a thermal run needs.
+"""One cache for every factorisation a thermal run needs.
 
 Steady solves factorise ``A(f)``; transient steps factorise
 ``C/dt + A(f)``.  Both live in a :class:`FactorBank` under the key
 ``(model key, kind, flow signature, dt)``: the model key names the
 stack (scenario runs use :meth:`Scenario.model_hash`), ``kind`` is
 ``"steady"`` or ``"transient"`` and steady entries carry ``dt=None``.
-Keys fully describe the matrix an entry was factorised from, so two
-stacks never share an entry and a flow change can never be served a
-stale factor.
+The AMG hierarchy of the same matrix is a separate entry whose flow
+slot reads ``("amg", flow signature)`` (see
+:func:`repro.thermal.exact.amg_key`); it counts towards the bound and
+the statistics of its kind like an LU factor.  Keys fully describe the
+matrix an entry was built from, so two stacks never share an entry and
+a flow change can never be served a stale factor.
 
 Whoever creates a bank owns its lifetime, and a bank runs in one of
 two modes:
@@ -33,10 +36,12 @@ A byte-capped bank also remembers, for the current job, the matrix
 each new entry was factorised from.  A service worker runs every job
 in a forked copy of itself; the copy hands :meth:`FactorBank.record`
 back, and the worker replays it with :meth:`FactorBank.adopt`, so its
-own bank learns the job's factors bit for bit.
+own bank learns the job's factors bit for bit.  AMG entries are stored
+without a source, so they are never rebuilt that way.
 
-Entries are sized from ``SuperLU.nnz``, never from ``.L`` / ``.U``:
-those properties build full CSC copies of the factors.
+LU entries are sized from ``SuperLU.nnz``, never from ``.L`` / ``.U``:
+those properties build full CSC copies of the factors.  AMG entries
+are sized from their hierarchy's matrices.
 """
 
 from __future__ import annotations
@@ -64,8 +69,9 @@ def factor_bytes(factor: object) -> int:
 def entry_bytes(entry: object) -> int:
     """Resident size estimate of a bank entry.
 
-    An entry is a factor, or a tuple of a factor and the arrays /
-    sparse matrices cached beside it (boundary rhs, system matrix).
+    An entry is a factor, or a tuple of a factor (or an AMG solver with
+    an ``nbytes`` estimate) and the arrays / sparse matrices cached
+    beside it (boundary rhs, system matrix).
     """
     parts = entry if isinstance(entry, tuple) else (entry,)
     total = 0
@@ -80,7 +86,8 @@ def entry_bytes(entry: object) -> int:
 
 
 class FactorBank:
-    """LU factors keyed by ``(model key, kind, flow signature, dt)``.
+    """LU factors and AMG hierarchies keyed by
+    ``(model key, kind, flow signature, dt)``.
 
     Parameters
     ----------

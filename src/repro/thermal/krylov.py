@@ -249,6 +249,15 @@ class AmgSolver:
         self._c_solves = registry.counter("solver.amg.solves")
         self._c_iterations = registry.counter("solver.amg.iterations")
 
+    @property
+    def nbytes(self) -> int:
+        """Resident size of the system matrix and its hierarchy."""
+        matrix = self.matrix
+        return (
+            matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+            + self.preconditioner.nbytes
+        )
+
     def solve(
         self,
         rhs: np.ndarray,

@@ -45,8 +45,7 @@ equivalence tests assert both paths agree bit for bit.  Phase order
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,24 +61,22 @@ from ..cooling import (
     backend_for_cavity,
 )
 from ..geometry.stack import Cavity, CoolingMode, Layer, StackDesign, TwoPhaseCavity
-from ..obs.metrics import Counter, get_registry
+from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..units import celsius_to_kelvin, ml_per_min_to_m3_per_s
 from .assembly import ConductanceBuilder
 from .bank import FactorBank, factor_bytes
 from .diagnostics import (
-    FactorizationError,
-    IterativeConvergenceError,
     NonFiniteFieldError,
     SolverDiagnostics,
     SolverGuard,
     SolverStats,
     ThermalInputError,
     condition_estimate_from_factor,
-    relative_residual,
     validate_finite_array,
     validate_positive_scalar,
 )
+from .exact import ExactTier, amg_key
 from .field import TemperatureField
 from .grid import ThermalGrid
 from .krylov import (
@@ -90,26 +87,8 @@ from .krylov import (
     exact_fallback_backend,
 )
 
-LU_CACHE_SIZE_ENV = "REPRO_LU_CACHE_SIZE"
-"""Environment override of the steady/transient LU cache capacities.
-
-One positive integer applied to both the model's steady-factor cache
-(default 8 entries) and each transient stepper's factor cache (default
-16 entries).  Explicit constructor arguments always win over the
-environment.  Invalid or non-positive values are ignored.
-"""
-
-
-def lu_cache_size(default: int) -> int:
-    """Resolve an LU cache capacity, honouring ``REPRO_LU_CACHE_SIZE``."""
-    raw = os.environ.get(LU_CACHE_SIZE_ENV)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
+STEADY_CACHE_ENTRIES = 8
+"""Entries (LU factors and AMG hierarchies) of a model's private steady bank."""
 
 DEFAULT_AMBIENT_K = celsius_to_kelvin(46.0)
 """Default air ambient [K].
@@ -163,11 +142,6 @@ class CompactThermalModel:
         Air ambient temperature [K] (air-cooled mode).
     inlet_temperature:
         Coolant inlet temperature [K] (liquid mode).
-    max_steady_factors:
-        Upper bound on cached steady-solve LU factorisations (LRU) in
-        the model's private factor bank.  ``None`` (the default)
-        resolves to 8, overridable through the ``REPRO_LU_CACHE_SIZE``
-        environment variable.  Ignored when ``bank`` is given.
     solver:
         Steady-solve backend: ``"direct"`` (sparse LU), ``"amg"``
         (algebraic-multigrid-preconditioned BiCGSTAB with warm starts —
@@ -202,11 +176,12 @@ class CompactThermalModel:
         time (see :meth:`update_cooling`).
     bank:
         Caller-owned :class:`~repro.thermal.bank.FactorBank` for the
-        steady LU factors (a long-lived service worker shares one
-        across jobs and stacks); a byte-capped one also takes the
-        transient factors of every stepper on this model.  ``None``
-        gives the model a private count-bounded bank that lives as
-        long as the model.
+        steady LU factors and AMG hierarchies (a long-lived service
+        worker shares one across jobs and stacks); a byte-capped one
+        also takes the transient entries of every stepper on this
+        model.  ``None`` gives the model a private bank of
+        :data:`STEADY_CACHE_ENTRIES` entries that lives as long as the
+        model.
     bank_key:
         This model's key in the bank (scenario runs pass their
         ``model_hash``); defaults to a token unique to the model.
@@ -219,7 +194,6 @@ class CompactThermalModel:
         ny: int = 20,
         ambient: float = DEFAULT_AMBIENT_K,
         inlet_temperature: float = DEFAULT_INLET_K,
-        max_steady_factors: Optional[int] = None,
         guard: Optional[SolverGuard] = None,
         solver: str = "auto",
         krylov: Optional[KrylovOptions] = None,
@@ -230,10 +204,6 @@ class CompactThermalModel:
         bank: Optional[FactorBank] = None,
         bank_key: Optional[object] = None,
     ) -> None:
-        if max_steady_factors is None:
-            max_steady_factors = lu_cache_size(8)
-        if max_steady_factors < 1:
-            raise ValueError("cache must hold at least one factorisation")
         self.guard = guard if guard is not None else SolverGuard()
         if solver not in SOLVER_CHOICES:
             raise ValueError(
@@ -253,37 +223,26 @@ class CompactThermalModel:
         self._block_order: Optional[List[BlockRef]] = None
         self._block_index: Optional[Dict[BlockRef, int]] = None
         self._injection: Optional[csr_matrix] = None
-        # Steady-solve LU factors live in the factor bank under
-        # (bank_key, "steady", flow state, None).  Keys fully describe
-        # the matrix they were factorised from, so a flow change via
-        # set_flow/set_cavity_flow "invalidates" the cache by
-        # construction: the new state simply looks up a different key,
-        # and stale entries can never be served.
-        self._max_steady_factors = int(max_steady_factors)
+        # Steady LU factors live in the factor bank under
+        # (bank_key, "steady", flow state, None), AMG hierarchies under
+        # its amg_key.  Keys fully describe the matrix an entry was
+        # built from, so a flow change via set_flow/set_cavity_flow
+        # "invalidates" the cache by construction: the new state simply
+        # looks up a different key, and stale entries can never be
+        # served.
         self.factor_bank = (
             bank
             if bank is not None
-            else FactorBank(max_entries=self._max_steady_factors)
+            else FactorBank(max_entries=STEADY_CACHE_ENTRIES)
         )
         self.bank_key = bank_key if bank_key is not None else object()
-        # Per-model cache counters (reset by clear_steady_cache), each
-        # mirrored into the process-global metrics registry so whole-run
-        # rollups see every model's cache behaviour in one place.
-        self._steady_hits = Counter("steady_cache.hits")
-        self._steady_misses = Counter("steady_cache.misses")
+        # Per-model cache counters (reset by clear_steady_cache) and the
+        # occupancy gauge; the capacity gauge is a per-process rollup.
+        self._steady = ExactTier("steady", self.factor_bank)
         registry = get_registry()
-        self._g_steady_hits = registry.counter("thermal.steady_cache.hits")
-        self._g_steady_misses = registry.counter("thermal.steady_cache.misses")
-        # Cache capacity/occupancy surfaced as gauges (last writer wins
-        # across models — a per-process observability rollup, not a
-        # per-model ledger; per-model numbers come from
-        # :meth:`steady_cache_info`).
-        self._g_steady_maxsize = registry.gauge("thermal.steady_cache.maxsize")
-        self._g_steady_currsize = registry.gauge(
-            "thermal.steady_cache.currsize"
+        registry.gauge("thermal.steady_cache.maxsize").set(
+            STEADY_CACHE_ENTRIES
         )
-        self._g_steady_maxsize.set(self._max_steady_factors)
-        self._g_steady_currsize.set(0)
         # Reduced-order fast-path state (solver="rom"), built lazily on
         # the first query or loaded from the store.
         self._rom_options = rom
@@ -291,14 +250,6 @@ class CompactThermalModel:
         self._rom_key = rom_key
         self._rom: Optional[object] = None
         self._c_rom_fallback = registry.counter("rom.fallback")
-        # AMG-tier state, keyed like the LU cache: one hierarchy per
-        # flow state, plus the last solution at that state as the
-        # warm-start guess.
-        self._steady_amg_solvers: "OrderedDict[object, AmgSolver]" = (
-            OrderedDict()
-        )
-        self._steady_warm: Dict[object, np.ndarray] = {}
-        self._c_fallback_amg = registry.counter("solver.fallback.amg_to_direct")
         # Cooling backends: one per cavity, dispatched on the cavity
         # type.  Dynamic two-phase backends (and their grid levels) are
         # collected during assembly; their moving saturation anchors
@@ -970,27 +921,13 @@ class CompactThermalModel:
         :meth:`set_flow` / :meth:`set_cavity_flow` can never leave a
         stale factor behind.
         """
-        key = self._steady_bank_key(flow_ml_min)
-        bank = self.factor_bank
-        factor = bank.get(key)
-        if factor is not None:
-            self._steady_hits.inc()
-            self._g_steady_hits.inc()
-            return factor
-        self._steady_misses.inc()
-        self._g_steady_misses.inc()
-        bank.reserve(key)
-        matrix = self.system_matrix(flow_ml_min).tocsc()
-        try:
+
+        def build():
+            matrix = self.system_matrix(flow_ml_min).tocsc()
             factor = splu(matrix, **SPLU_OPTIONS)
-        except Exception as exc:
-            raise FactorizationError(
-                f"steady LU factorisation failed for flow state {key[2]!r}: "
-                f"{exc}"
-            ) from exc
-        bank.put(key, factor, factor_bytes(factor), source=matrix)
-        self._g_steady_currsize.set(bank.count(self.bank_key, "steady"))
-        return factor
+            return factor, factor_bytes(factor), matrix
+
+        return self._steady.entry(self._steady_bank_key(flow_ml_min), build)
 
     def _steady_key(self, flow_ml_min: Optional[float]) -> object:
         if flow_ml_min is not None:
@@ -1010,36 +947,24 @@ class CompactThermalModel:
         factor.  Covers both exact backends: the LU factor and the AMG
         hierarchy (with its warm start) of the same key.
         """
-        key = self._steady_key(flow_ml_min)
-        dropped_lu = self.factor_bank.pop(self._steady_bank_key(flow_ml_min))
-        dropped_amg = self._steady_amg_solvers.pop(key, None) is not None
-        self._steady_warm.pop(key, None)
-        self._g_steady_currsize.set(
-            self.factor_bank.count(self.bank_key, "steady")
-        )
-        return dropped_lu or dropped_amg
+        return self._steady.evict(self._steady_bank_key(flow_ml_min))
 
     def steady_cache_info(self) -> CacheInfo:
-        """Hit/miss statistics of the steady-factor cache."""
+        """Hit/miss statistics of the steady cache (LU and AMG entries)."""
         return CacheInfo(
-            hits=self._steady_hits.value,
-            misses=self._steady_misses.value,
-            currsize=self.factor_bank.count(self.bank_key, "steady"),
-            maxsize=self._max_steady_factors,
+            hits=self._steady.hits.value,
+            misses=self._steady.misses.value,
+            currsize=self._steady.count(self.bank_key),
+            maxsize=STEADY_CACHE_ENTRIES,
         )
 
     def clear_steady_cache(self) -> None:
-        """Drop all cached steady factorisations (and their statistics).
+        """Drop all cached steady entries (and their statistics).
 
-        Covers both exact backends: direct LU factors, the AMG
-        hierarchies and their warm-start guesses.
+        Covers both exact backends: direct LU factors and the AMG
+        hierarchies with their warm starts.
         """
-        self.factor_bank.drop(self.bank_key, "steady")
-        self._steady_amg_solvers.clear()
-        self._steady_warm.clear()
-        self._steady_hits.reset()
-        self._steady_misses.reset()
-        self._g_steady_currsize.set(0)
+        self._steady.clear(self.bank_key)
 
     def steady_backend(self) -> str:
         """The resolved steady-solve backend for this model's grid.
@@ -1067,64 +992,6 @@ class CompactThermalModel:
             n_extra=1 if self.grid.has_sink_node else 0,
         )
 
-    def steady_amg_solver(
-        self, flow_ml_min: Optional[float] = None
-    ) -> AmgSolver:
-        """Cached AMG-preconditioned operator of ``A(f)``.
-
-        The large-grid twin of :meth:`steady_factor`: keyed by the same
-        flow signatures and bounded by the same LRU budget, so it is
-        equally immune to stale entries after flow changes.  Per-level
-        operators are reused by every solve at that flow state; an
-        evicted hierarchy takes its warm start with it.
-        """
-        key = self._steady_key(flow_ml_min)
-        solver = self._steady_amg_solvers.get(key)
-        if solver is not None:
-            self._steady_amg_solvers.move_to_end(key)
-            self._steady_hits.inc()
-            self._g_steady_hits.inc()
-            return solver
-        self._steady_misses.inc()
-        self._g_steady_misses.inc()
-        solver = self.amg_solver(self.system_matrix(flow_ml_min))
-        self._steady_amg_solvers[key] = solver
-        if len(self._steady_amg_solvers) > self._max_steady_factors:
-            evicted, _ = self._steady_amg_solvers.popitem(last=False)
-            self._steady_warm.pop(evicted, None)
-        return solver
-
-    def _steady_amg(
-        self, q: np.ndarray, flow_ml_min: Optional[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[int]]:
-        """One AMG steady solve; ``(None, iterations)`` on failure.
-
-        Warm-starts from the last solution at the same flow state.  A
-        broken hierarchy setup, non-convergence or an out-of-tolerance
-        residual evicts the hierarchy (it may have been built from a
-        poisoned matrix) and reports failure so the caller falls back
-        to the guarded direct LU.
-        """
-        key = self._steady_key(flow_ml_min)
-        try:
-            solver = self.steady_amg_solver(flow_ml_min)
-        except FactorizationError:
-            return None, None
-        try:
-            values, iterations = solver.solve(q, x0=self._steady_warm.get(key))
-        except IterativeConvergenceError:
-            self._steady_amg_solvers.pop(key, None)
-            self._steady_warm.pop(key, None)
-            return None, solver.iterations_total
-        if self.guard.residual_tolerance is not None:
-            residual = relative_residual(solver.matrix, values, q)
-            if residual > self.guard.residual_tolerance:
-                self._steady_amg_solvers.pop(key, None)
-                self._steady_warm.pop(key, None)
-                return None, iterations
-        self._steady_warm[key] = values
-        return values, iterations
-
     def steady_state(
         self,
         block_powers: Dict[BlockRef, float],
@@ -1134,19 +1001,18 @@ class CompactThermalModel:
 
         The backend follows :meth:`steady_backend`: large grids run
         AMG-preconditioned BiCGSTAB (warm-started per flow state) and
-        fall back to the guarded direct LU on failure; small grids run
-        the direct LU outright.  Either way
-        the solve is guarded per ``self.guard``: non-finite solutions
-        evict the (poisoned) cached factor, one refactorised retry is
-        attempted, and a persistent failure raises
-        :class:`~repro.thermal.diagnostics.NonFiniteFieldError`.  The
-        health record of the last solve is kept in
+        fall back to the direct LU on failure; small grids run the
+        direct LU outright (see :mod:`repro.thermal.exact`).  Either
+        way the solve is guarded per ``self.guard``: a non-finite or
+        out-of-tolerance solution evicts the (poisoned) cached entries,
+        one refactorised retry is attempted, and a persistent failure
+        raises :class:`~repro.thermal.diagnostics.NonFiniteFieldError`.
+        The health record of the last solve is kept in
         ``last_steady_diagnostics``; running counters in
         ``steady_stats``.
         """
-        tracer = get_tracer()
         backend = self.steady_backend()
-        with tracer.span(
+        with get_tracer().span(
             "thermal.steady_solve", backend=backend, nodes=self.grid.size
         ):
             if backend == "rom":
@@ -1156,51 +1022,81 @@ class CompactThermalModel:
                 # Certified bound or trust region rejected the query:
                 # fall through to the exact backend the "auto" rule
                 # picks (rom -> amg -> direct above the node limit,
-                # rom -> direct below it).  The exact path is
-                # byte-for-byte the non-rom code below, so fallback
-                # results are bitwise identical to a plain exact model.
+                # rom -> direct below it), bitwise like a plain exact
+                # model.
                 backend = exact_fallback_backend(self.grid.size)
+            q = self.power_vector(block_powers) + self.boundary_rhs(flow_ml_min)
             # Dynamic two-phase anchors enter as a pure rhs delta; the
             # matrix (and every cached factor/preconditioner) is
             # untouched, and the branch is never taken on legacy paths.
             cooling = self.cooling_rhs()
-            if backend == "amg":
-                q = self.power_vector(block_powers) + self.boundary_rhs(
-                    flow_ml_min
-                )
-                if cooling is not None:
-                    q = q + cooling
-                values, iterations = self._steady_amg(q, flow_ml_min)
-                if values is not None:
-                    residual = None
-                    if self.guard.residual_tolerance is not None:
-                        residual = relative_residual(
-                            self.system_matrix(flow_ml_min), values, q
-                        )
-                    diagnostics = SolverDiagnostics(
-                        kind="steady",
-                        residual_norm=residual,
-                        finite=True,
-                        method="bicgstab+amg",
-                        iterations=iterations,
-                    )
-                    self.last_steady_diagnostics = diagnostics
-                    self.steady_stats.record(diagnostics)
-                    return TemperatureField(self.grid, values)
-                # The guarded direct LU answers exactly like a plain
-                # solver="direct" model would.
-                self._c_fallback_amg.inc()
-                tracer.event(
-                    "amg.fallback", kind="steady", iterations=iterations
-                )
-                return self._steady_direct(
-                    q, flow_ml_min, fallback=True, iterations=iterations
-                )
-            factor = self.steady_factor(flow_ml_min)
-            q = self.power_vector(block_powers) + self.boundary_rhs(flow_ml_min)
             if cooling is not None:
                 q = q + cooling
-            return self._steady_direct(q, flow_ml_min, factor=factor)
+            return self._steady_exact(q, flow_ml_min, backend == "amg")
+
+    def _steady_exact(
+        self, q: np.ndarray, flow_ml_min: Optional[float], amg: bool
+    ) -> TemperatureField:
+        """The guarded exact steady solve of ``A(f) x = q``."""
+
+        def lu():
+            matrix = None
+            if self.guard.residual_tolerance is not None:
+                matrix = self.system_matrix(flow_ml_min)
+            return self.steady_factor(flow_ml_min), None, matrix
+
+        hierarchy = None
+        if amg:
+            hierarchy = (
+                amg_key(self._steady_bank_key(flow_ml_min)),
+                lambda: (self.amg_solver(self.system_matrix(flow_ml_min)), None),
+            )
+
+        def attempt():
+            return self._steady.attempt(
+                self.guard, lambda _boundary: q, lu, hierarchy
+            )
+
+        outcome = attempt()
+        evictions = 0
+        if not outcome.ok:
+            # Poisoned or broken entry: evict, rebuild, retry once.
+            self.evict_steady_factor(flow_ml_min)
+            evictions = 1
+            outcome = outcome.then(attempt())
+        condition = None
+        if outcome.factor is not None and (
+            not outcome.ok or self.guard.residual_tolerance is not None
+        ):
+            condition = condition_estimate_from_factor(outcome.factor)
+        finite = outcome.ok or bool(np.all(np.isfinite(outcome.values)))
+        diagnostics = SolverDiagnostics(
+            kind="steady",
+            residual_norm=outcome.residual,
+            finite=finite,
+            condition_estimate=condition,
+            factor_evictions=evictions,
+            method=outcome.method,
+            iterations=outcome.iterations,
+            fallback_to_direct=outcome.fell_back,
+        )
+        self.last_steady_diagnostics = diagnostics
+        if not finite:
+            raise NonFiniteFieldError(
+                "steady solve produced non-finite temperatures even "
+                "after refactorisation; the system matrix is singular "
+                "or badly scaled",
+                diagnostics,
+            )
+        if not outcome.ok:
+            raise NonFiniteFieldError(
+                f"steady solve residual {outcome.residual:.3e} exceeds the "
+                f"configured tolerance "
+                f"{self.guard.residual_tolerance:.3e}",
+                diagnostics,
+            )
+        self.steady_stats.record(diagnostics)
+        return TemperatureField(self.grid, outcome.values)
 
     # ------------------------------------------------------------------
     # reduced-order fast path (solver="rom")
@@ -1251,6 +1147,27 @@ class CompactThermalModel:
             return None, 0.0
         return flow, self._capacity_rate_per_row(flow)
 
+    def check_rom_admission(self, rom, flow: Optional[float]) -> None:
+        """Reject a steady or transient ROM query the basis cannot serve.
+
+        Raises :class:`~repro.thermal.rom.RomRejection` (counted by
+        ``rom``) when dynamic two-phase anchors have moved, or when the
+        per-cavity flows are unequal (``flow`` from :meth:`rom_flow`
+        is ``None`` on a model with single-phase cavities).
+        """
+        from .rom import RomRejection
+
+        if self._b_cooling is not None:
+            # Moving saturation anchors sit outside the basis'
+            # calibrated (static-anchor) snapshot space.
+            raise RomRejection(
+                "two-phase-anchor",
+                "dynamic two-phase anchors moved the boundary "
+                "source outside the calibrated ROM basis",
+            )
+        if self._flows and flow is None:
+            rom.check_flow(None)  # raises RomRejection, counted
+
     def _steady_rom(
         self,
         block_powers: Dict[BlockRef, float],
@@ -1265,16 +1182,7 @@ class CompactThermalModel:
         flow, rate = self.rom_flow(flow_ml_min)
         try:
             with tracer.span("rom.solve", kind="steady"):
-                if self._b_cooling is not None:
-                    # Moving saturation anchors sit outside the basis'
-                    # calibrated (static-anchor) snapshot space.
-                    raise RomRejection(
-                        "two-phase-anchor",
-                        "dynamic two-phase anchors moved the boundary "
-                        "source outside the calibrated ROM basis",
-                    )
-                if self._flows and flow is None:
-                    rom.check_flow(None)  # raises RomRejection, counted
+                self.check_rom_admission(rom, flow)
                 values, bound = rom.steady_values(
                     packed, flow, capacity_rate=rate if self._flows else None
                 )
@@ -1290,79 +1198,6 @@ class CompactThermalModel:
             finite=True,
             method="rom",
         )
-        return TemperatureField(self.grid, values)
-
-    def _steady_direct(
-        self,
-        q: np.ndarray,
-        flow_ml_min: Optional[float],
-        factor: Optional[object] = None,
-        fallback: bool = False,
-        iterations: Optional[int] = None,
-    ) -> TemperatureField:
-        """The guarded direct-LU steady solve (also the AMG fallback)."""
-        if factor is None:
-            factor = self.steady_factor(flow_ml_min)
-        values = factor.solve(q)
-        evictions = 0
-        if self.guard.check_finite and not np.all(np.isfinite(values)):
-            # Poisoned or broken factor: evict, refactorise, retry once.
-            self.evict_steady_factor(flow_ml_min)
-            evictions = 1
-            factor = self.steady_factor(flow_ml_min)
-            values = factor.solve(q)
-            if not np.all(np.isfinite(values)):
-                diagnostics = SolverDiagnostics(
-                    kind="steady",
-                    finite=False,
-                    condition_estimate=condition_estimate_from_factor(factor),
-                    factor_evictions=evictions,
-                    iterations=iterations,
-                    fallback_to_direct=fallback,
-                )
-                self.last_steady_diagnostics = diagnostics
-                raise NonFiniteFieldError(
-                    "steady solve produced non-finite temperatures even "
-                    "after refactorisation; the system matrix is singular "
-                    "or badly scaled",
-                    diagnostics,
-                )
-        residual = None
-        condition = None
-        if self.guard.residual_tolerance is not None:
-            residual = relative_residual(
-                self.system_matrix(flow_ml_min), values, q
-            )
-            condition = condition_estimate_from_factor(factor)
-            if residual > self.guard.residual_tolerance:
-                diagnostics = SolverDiagnostics(
-                    kind="steady",
-                    residual_norm=residual,
-                    finite=True,
-                    condition_estimate=condition,
-                    factor_evictions=evictions,
-                    iterations=iterations,
-                    fallback_to_direct=fallback,
-                )
-                self.last_steady_diagnostics = diagnostics
-                self.evict_steady_factor(flow_ml_min)
-                raise NonFiniteFieldError(
-                    f"steady solve residual {residual:.3e} exceeds the "
-                    f"configured tolerance "
-                    f"{self.guard.residual_tolerance:.3e}",
-                    diagnostics,
-                )
-        diagnostics = SolverDiagnostics(
-            kind="steady",
-            residual_norm=residual,
-            finite=True,
-            condition_estimate=condition,
-            factor_evictions=evictions,
-            iterations=iterations,
-            fallback_to_direct=fallback,
-        )
-        self.last_steady_diagnostics = diagnostics
-        self.steady_stats.record(diagnostics)
         return TemperatureField(self.grid, values)
 
     def uniform_field(self, temperature_k: float) -> TemperatureField:

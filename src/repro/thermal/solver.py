@@ -14,11 +14,11 @@ cheap.  The boundary vector
 factor, so a cached step performs exactly one spmv (power injection),
 one triangular solve pair, and one vector add.
 
-Large grids (the ``"amg"`` tier) replace the LU factor by an
-AMG-preconditioned BiCGSTAB operator of the same matrix, cached under
-the same ``(flow signature, dt)`` keys and warm-started from the
-current state; a solve that fails there is handed to the guarded
-direct LU.
+Large grids (the ``"amg"`` tier) solve with an AMG-preconditioned
+BiCGSTAB operator of the same matrix, cached beside the LU factors
+and warm-started from the current state; a solve that fails there is
+handed to the direct LU (see :mod:`repro.thermal.exact`, shared with
+the steady solves).
 
 Every step is guarded (see :class:`~repro.thermal.diagnostics.SolverGuard`):
 non-finite solutions evict the offending LU factor — a retry therefore
@@ -30,7 +30,6 @@ health record of the last step is kept in ``last_diagnostics``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -39,50 +38,27 @@ from scipy.sparse.linalg import splu
 
 from .bank import BankKey, FactorBank, entry_bytes, factor_bytes
 from .diagnostics import (
-    FactorizationError,
-    IterativeConvergenceError,
     SolverDiagnostics,
     SolverGuard,
     SolverStats,
     TransientDivergenceError,
     condition_estimate_from_factor,
-    relative_residual,
     validate_finite_array,
     validate_positive_scalar,
 )
-from ..obs.metrics import Counter, get_registry
+from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
+from .exact import ExactOutcome, ExactTier, amg_key
 from .field import TemperatureField
-from .krylov import (
-    AmgSolver,
-    KrylovOptions,
-    choose_backend,
-    exact_fallback_backend,
-)
-from .model import (
-    SPLU_OPTIONS,
-    BlockRef,
-    CacheInfo,
-    CompactThermalModel,
-    FlowSignature,
-    lu_cache_size,
-)
+from .krylov import KrylovOptions, choose_backend, exact_fallback_backend
+from .model import SPLU_OPTIONS, BlockRef, CacheInfo, CompactThermalModel
 from .rom import RomRejection
 
-FactorKey = Tuple[FlowSignature, float]
-"""Key of one AMG-tier operator: ``(flow signature, dt)``."""
+TRANSIENT_CACHE_ENTRIES = 16
+"""Entries (LU factors and AMG hierarchies) of a stepper's private bank."""
 
 FactorEntry = Tuple[object, np.ndarray, object]
-"""One cache entry: ``(LU factor, boundary rhs, system matrix)``."""
-
-AmgEntry = Tuple[AmgSolver, np.ndarray]
-"""One AMG-tier cache entry: ``(preconditioned solver, boundary rhs)``."""
-
-AttemptOutcome = Tuple[
-    np.ndarray, bool, Optional[float], str, Optional[int], bool
-]
-"""One unguarded solve attempt:
-``(solution, ok, residual, method, iterations, fell_back)``."""
+"""One LU entry: ``(LU factor, boundary rhs, system matrix)``."""
 
 
 class TransientStepper:
@@ -98,12 +74,6 @@ class TransientStepper:
         Initial temperature field; the paper initialises simulations with
         steady-state values, so callers usually pass
         ``model.steady_state(...)``.
-    max_cached_factors:
-        Upper bound on retained LU factorisations (LRU eviction) in the
-        stepper's private factor bank.  Defaults to 16, overridable
-        process-wide with the ``REPRO_LU_CACHE_SIZE`` environment
-        variable (an explicit argument always wins).  Ignored when the
-        model's factor bank is a caller-owned byte-capped one.
     guard:
         Numerical-guard configuration; defaults to the model's.
     solver:
@@ -135,16 +105,11 @@ class TransientStepper:
         model: CompactThermalModel,
         dt: float,
         initial: TemperatureField,
-        max_cached_factors: Optional[int] = None,
         guard: Optional[SolverGuard] = None,
         solver: Optional[str] = None,
         krylov: Optional[KrylovOptions] = None,
     ) -> None:
         dt = validate_positive_scalar(dt, "dt")
-        if max_cached_factors is None:
-            max_cached_factors = lu_cache_size(16)
-        if max_cached_factors < 1:
-            raise ValueError("cache must hold at least one factorisation")
         self.model = model
         self.dt = float(dt)
         self.guard = guard if guard is not None else model.guard
@@ -158,39 +123,26 @@ class TransientStepper:
         self.krylov_options = (
             krylov if krylov is not None else model.krylov_options
         )
-        self._max_cached = max_cached_factors
-        # Each bank entry holds (LU factor, boundary rhs, system matrix)
+        # Each LU entry holds (LU factor, boundary rhs, system matrix)
         # for one flow signature at one dt — the rhs costs as much to
         # rebuild per step as the triangular solves it accompanies, and
         # the matrix (already assembled for the factorisation) backs
-        # the optional residual check.
+        # the optional residual check.  AMG entries carry the boundary
+        # rhs too.
         # A model built on a caller-owned byte-capped bank (a warm
-        # service worker's) keeps its transient factors there too;
+        # service worker's) keeps its transient entries there too;
         # otherwise they live as long as this stepper.
         self._bank = (
             model.factor_bank
             if model.factor_bank.byte_capped
-            else FactorBank(max_entries=max_cached_factors)
+            else FactorBank(max_entries=TRANSIENT_CACHE_ENTRIES)
         )
-        # AMG-tier twin: one hierarchy plus its boundary rhs per
-        # (flow signature, dt), under the same LRU bound.
-        self._amg: "OrderedDict[FactorKey, AmgEntry]" = OrderedDict()
-        # Per-stepper cache counters mirrored into the global registry
-        # (same pattern as the model's steady-factor cache).
-        self._hits = Counter("transient_cache.hits")
-        self._misses = Counter("transient_cache.misses")
+        self._transient = ExactTier("transient", self._bank)
         registry = get_registry()
-        self._g_hits = registry.counter("thermal.transient_cache.hits")
-        self._g_misses = registry.counter("thermal.transient_cache.misses")
         self._c_steps = registry.counter("thermal.transient_steps")
-        self._c_fallback_amg = registry.counter("solver.fallback.amg_to_direct")
-        # Capacity/occupancy gauges (process-global rollup: with several
-        # live steppers the last writer wins, which is fine for the
-        # single-simulator runs these exist to observe).
         registry.gauge("thermal.transient_cache.maxsize").set(
-            float(self._max_cached)
+            TRANSIENT_CACHE_ENTRIES
         )
-        self._g_currsize = registry.gauge("thermal.transient_cache.currsize")
         self._c_rom_steps = registry.counter("rom.transient_steps")
         self._c_over_dt = model.capacitance / self.dt
         # Reduced-order transient state (backend "rom"): created lazily
@@ -208,29 +160,20 @@ class TransientStepper:
         model = self.model
         return (model.bank_key, "transient", model.flow_signature(), dt)
 
+    def _system(self, dt: float):
+        """The backward-Euler matrix ``C/dt + A(f)`` at the current flows."""
+        return self.model.system_matrix() + diags(self._c_over(dt))
+
     def _factor(self, dt: Optional[float] = None) -> FactorEntry:
         dt = self.dt if dt is None else dt
-        key = self._bank_key(dt)
-        entry = self._bank.get(key)
-        if entry is not None:
-            self._hits.inc()
-            self._g_hits.inc()
-            return entry
-        self._misses.inc()
-        self._g_misses.inc()
-        matrix = self.model.system_matrix() + diags(self._c_over(dt))
-        self._bank.reserve(key)
-        try:
+
+        def build():
+            matrix = self._system(dt)
             factor = splu(matrix.tocsc(), **SPLU_OPTIONS)
-        except Exception as exc:
-            raise FactorizationError(
-                f"transient LU factorisation failed for key {key[2:]!r}: "
-                f"{exc}"
-            ) from exc
-        entry = (factor, self.model.boundary_rhs(), matrix)
-        self._bank.put(key, entry, entry_bytes(entry), source=entry[1:])
-        self._g_currsize.set(float(self.cached_factor_count))
-        return entry
+            entry = (factor, self.model.boundary_rhs(), matrix)
+            return entry, entry_bytes(entry), entry[1:]
+
+        return self._transient.entry(self._bank_key(dt), build)
 
     @property
     def backend(self) -> str:
@@ -243,56 +186,30 @@ class TransientStepper:
             self._exact_backend = exact_fallback_backend(self.model.grid.size)
         return self._exact_backend
 
-    def _amg_factor(self, dt: float) -> AmgEntry:
-        """Cached AMG-preconditioned operator of ``C/dt + A(f)``."""
-        key: FactorKey = (self.model.flow_signature(), dt)
-        entry = self._amg.get(key)
-        if entry is not None:
-            self._amg.move_to_end(key)
-            self._hits.inc()
-            self._g_hits.inc()
-            return entry
-        self._misses.inc()
-        self._g_misses.inc()
-        matrix = self.model.system_matrix() + diags(self._c_over(dt))
-        solver = self.model.amg_solver(matrix, self.krylov_options)
-        entry = (solver, self.model.boundary_rhs())
-        self._amg[key] = entry
-        if len(self._amg) > self._max_cached:
-            self._amg.popitem(last=False)
-        return entry
-
-    def _evict_amg(self, dt: float) -> bool:
-        key: FactorKey = (self.model.flow_signature(), dt)
-        return self._amg.pop(key, None) is not None
-
     def evict_factor(self, dt: Optional[float] = None) -> bool:
         """Drop the cached factor of the current flow state at ``dt``.
 
         Guarded steps call this when a factor yields non-finite or
         out-of-tolerance solutions, so the retry refactorises instead of
         reusing the poisoned factor.  Returns whether an entry existed
-        (in either the direct or the AMG cache).
+        (the LU factor or the AMG hierarchy of that key).
         """
-        dt = self.dt if dt is None else dt
-        dropped_lu = self._bank.pop(self._bank_key(dt))
-        dropped_amg = self._evict_amg(dt)
-        if dropped_lu:
-            self._g_currsize.set(float(self.cached_factor_count))
-        return dropped_lu or dropped_amg
+        return self._transient.evict(
+            self._bank_key(self.dt if dt is None else dt)
+        )
 
     @property
     def cached_factor_count(self) -> int:
-        """Number of this model's transient LU factorisations in the bank."""
-        return self._bank.count(self.model.bank_key, "transient")
+        """This model's transient entries (LU and AMG) in the bank."""
+        return self._transient.count(self.model.bank_key)
 
     def cache_info(self) -> CacheInfo:
         """``lru_cache``-style statistics of the factor cache."""
         return CacheInfo(
-            hits=self._hits.value,
-            misses=self._misses.value,
+            hits=self._transient.hits.value,
+            misses=self._transient.misses.value,
             currsize=self.cached_factor_count,
-            maxsize=self._max_cached,
+            maxsize=TRANSIENT_CACHE_ENTRIES,
         )
 
     def step(self, block_powers: Dict[BlockRef, float]) -> TemperatureField:
@@ -347,16 +264,7 @@ class TransientStepper:
             rom = model.ensure_rom()
             flow, rate = model.rom_flow(None)
             with tracer.span("rom.solve", kind="transient"):
-                if model.cooling_rhs() is not None:
-                    # Moving saturation anchors sit outside the basis'
-                    # calibrated (static-anchor) snapshot space.
-                    raise RomRejection(
-                        "two-phase-anchor",
-                        "dynamic two-phase anchors moved the boundary "
-                        "source outside the calibrated ROM basis",
-                    )
-                if model._flows and flow is None:
-                    rom.check_flow(None)  # raises RomRejection, counted
+                model.check_rom_admission(rom, flow)
                 reduced = self._reduced
                 if reduced is None:
                     rom.check_flow(flow if model._flows else None)
@@ -390,67 +298,42 @@ class TransientStepper:
 
     def _attempt(
         self, values: np.ndarray, power: np.ndarray, dt: float
-    ) -> AttemptOutcome:
+    ) -> ExactOutcome:
         """One unguarded backward-Euler solve; reports solution health.
 
-        On the AMG backend this tries the warm-started Krylov solve
-        first and hands the step to the direct factorisation when it
-        fails (``fell_back=True`` in the outcome);
-        the guarded retry/backoff logic above never needs to know which
-        backend produced the solution.
+        The shared exact attempt (see :mod:`repro.thermal.exact`): on
+        the AMG backend the warm-started Krylov solve first, handed to
+        the direct factorisation when it fails (``fell_back`` in the
+        outcome); the guarded retry/backoff logic above never needs to
+        know which backend produced the solution.
         """
-        iterations: Optional[int] = None
-        fell_back = False
-        backend = self._backend
         # Dynamic two-phase anchors contribute a pure rhs delta: the
-        # (C/dt + A) factor caches stay valid while the saturation
-        # field moves, and legacy paths never take the branch.
+        # (C/dt + A) caches stay valid while the saturation field
+        # moves, and legacy paths never take the branch.
         cooling = self.model.cooling_rhs()
+        c_over = self._c_over(dt)
+
+        def rhs(boundary: np.ndarray) -> np.ndarray:
+            b = c_over * values + power + boundary
+            return b if cooling is None else b + cooling
+
+        backend = self._backend
         if backend == "rom":
             # A rejected rom step lands here; it runs on whatever exact
             # backend the "auto" size rule picks for this grid.
             backend = self._exact()
+        hierarchy = None
         if backend == "amg":
-            try:
-                solver, boundary = self._amg_factor(dt)
-                rhs = self._c_over(dt) * values + power + boundary
-                if cooling is not None:
-                    rhs = rhs + cooling
-                solution, iterations = solver.solve(rhs, x0=values)
-            except (FactorizationError, IterativeConvergenceError):
-                self._evict_amg(dt)
-                fell_back = True
-            else:
-                residual: Optional[float] = None
-                ok = True
-                if self.guard.residual_tolerance is not None:
-                    residual = relative_residual(
-                        solver.matrix, solution, rhs
-                    )
-                    if residual > self.guard.residual_tolerance:
-                        ok = False
-                if ok:
-                    return (
-                        solution, True, residual, "bicgstab+amg",
-                        iterations, False,
-                    )
-                self._evict_amg(dt)
-                fell_back = True
-            self._c_fallback_amg.inc()
-        factor, boundary, matrix = self._factor(dt)
-        rhs = self._c_over(dt) * values + power + boundary
-        if cooling is not None:
-            rhs = rhs + cooling
-        solution = factor.solve(rhs)
-        residual = None
-        ok = True
-        if self.guard.check_finite and not np.all(np.isfinite(solution)):
-            ok = False
-        if ok and self.guard.residual_tolerance is not None:
-            residual = relative_residual(matrix, solution, rhs)
-            if residual > self.guard.residual_tolerance:
-                ok = False
-        return solution, ok, residual, "direct", iterations, fell_back
+            hierarchy = (
+                amg_key(self._bank_key(dt)),
+                lambda: (
+                    self.model.amg_solver(self._system(dt), self.krylov_options),
+                    self.model.boundary_rhs(),
+                ),
+            )
+        return self._transient.attempt(
+            self.guard, rhs, lambda: self._factor(dt), hierarchy, x0=values
+        )
 
     def step_with_power_vector(self, power: np.ndarray) -> TemperatureField:
         """Advance one guarded time step with a pre-built power vector."""
@@ -469,75 +352,57 @@ class TransientStepper:
                         retries=diagnostics.retries,
                         t=self.time,
                     )
-                    if diagnostics.fallback_to_direct:
-                        tracer.event(
-                            "amg.fallback",
-                            kind="transient",
-                            iterations=diagnostics.iterations,
-                        )
             return state
 
     def _guarded_step(self, power: np.ndarray) -> TemperatureField:
         """The guarded solve behind :meth:`step_with_power_vector`."""
         if self.guard.check_finite:
             validate_finite_array(power, "nodal power vector")
-        values, ok, residual, method, iterations, fell_back = self._attempt(
-            self.state.values, power, self.dt
-        )
-        iteration_total = iterations or 0
-        saw_iterative = iterations is not None
+        outcome = self._attempt(self.state.values, power, self.dt)
+        values = outcome.values
         evictions = 0
         retries = 0
         dt_effective = self.dt
-        if not ok:
+        if not outcome.ok:
             # The factor may be poisoned (e.g. cached before a failed
             # solve): evict and retry once with a fresh factorisation.
             if self.evict_factor(self.dt):
                 evictions += 1
-            values, ok, residual, method, iterations, sub_fell = (
+            outcome = outcome.then(
                 self._attempt(self.state.values, power, self.dt)
             )
-            iteration_total += iterations or 0
-            saw_iterative = saw_iterative or iterations is not None
-            fell_back = fell_back or sub_fell
-        if not ok:
+            values = outcome.values
+        if not outcome.ok:
             # Bounded dt-halving backoff: 2^k substeps at dt / 2^k.
             for halvings in range(1, self.guard.max_dt_halvings + 1):
                 sub_dt = self.dt / (2.0 ** halvings)
                 current = self.state.values
-                diverged = False
                 for _ in range(2 ** halvings):
-                    current, sub_ok, residual, method, iterations, sub_fell = (
-                        self._attempt(current, power, sub_dt)
-                    )
-                    iteration_total += iterations or 0
-                    saw_iterative = saw_iterative or iterations is not None
-                    fell_back = fell_back or sub_fell
-                    if not sub_ok:
+                    outcome = outcome.then(self._attempt(current, power, sub_dt))
+                    current = outcome.values
+                    if not outcome.ok:
                         if self.evict_factor(sub_dt):
                             evictions += 1
-                        diverged = True
                         break
-                if not diverged:
+                if outcome.ok:
                     values = current
-                    ok = True
                     retries = halvings
                     dt_effective = sub_dt
                     break
-        if not ok:
+        if not outcome.ok:
             factor, _, _ = self._factor(self.dt)
             diagnostics = SolverDiagnostics(
                 kind="transient",
-                residual_norm=residual,
+                residual_norm=outcome.residual,
                 finite=bool(np.all(np.isfinite(values))),
                 condition_estimate=condition_estimate_from_factor(factor),
                 dt=self.dt,
                 dt_effective=self.dt / (2.0 ** self.guard.max_dt_halvings),
                 retries=self.guard.max_dt_halvings,
                 factor_evictions=evictions,
-                method=method,
-                iterations=iteration_total if saw_iterative else None,
-                fallback_to_direct=fell_back,
+                method=outcome.method,
+                iterations=outcome.iterations,
+                fallback_to_direct=outcome.fell_back,
             )
             self.last_diagnostics = diagnostics
             raise TransientDivergenceError(
@@ -548,29 +413,27 @@ class TransientStepper:
             )
         self.time += self.dt
         self.state = TemperatureField(self.model.grid, values, self.time)
-        if method == "direct" and (
+        if outcome.factor is not None and (
             retries or evictions or self.guard.residual_tolerance is not None
         ):
             # Only when a direct factor produced the solution: computing
             # the estimate on the AMG path would force exactly the LU
             # factorisation the backend exists to avoid.
-            condition = condition_estimate_from_factor(
-                self._factor(dt_effective)[0]
-            )
+            condition = condition_estimate_from_factor(outcome.factor)
         else:
             condition = None
         diagnostics = SolverDiagnostics(
             kind="transient",
-            residual_norm=residual,
+            residual_norm=outcome.residual,
             finite=True,
             condition_estimate=condition,
             dt=self.dt,
             dt_effective=dt_effective,
             retries=retries,
             factor_evictions=evictions,
-            method=method,
-            iterations=iteration_total if saw_iterative else None,
-            fallback_to_direct=fell_back,
+            method=outcome.method,
+            iterations=outcome.iterations,
+            fallback_to_direct=outcome.fell_back,
         )
         self.last_diagnostics = diagnostics
         self.stats.record(diagnostics)

@@ -1,12 +1,14 @@
 """AMG hierarchy construction, determinism, equivalence and telemetry."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.geometry import CoolingMode, build_3d_mpsoc
 from repro.obs.metrics import get_registry
-from repro.thermal import CompactThermalModel
+from repro.thermal import CompactThermalModel, SolverGuard, TransientStepper
 from repro.thermal.amg import (
     AmgOptions,
     AmgPreconditioner,
@@ -15,6 +17,7 @@ from repro.thermal.amg import (
     geometric_aggregates,
     have_pyamg,
 )
+from repro.thermal.bank import FactorBank
 from repro.thermal.diagnostics import FactorizationError
 from repro.thermal.krylov import AmgSolver
 
@@ -224,14 +227,72 @@ def test_amg_solver_cache_and_eviction(liquid_stack_2tier):
 
 def test_amg_lru_eviction_drops_the_warm_start(liquid_stack_2tier):
     """An LRU-evicted hierarchy takes its n-float warm start with it."""
+    from repro.thermal.exact import amg_key
+
+    bank = FactorBank(max_entries=2)
     model = CompactThermalModel(
-        liquid_stack_2tier, nx=12, ny=10, solver="amg", max_steady_factors=2
+        liquid_stack_2tier, nx=12, ny=10, solver="amg", bank=bank
     )
     powers = {ref: 2.0 for ref in model.block_order}
-    for flow in (10.0, 15.0, 20.0, 25.0, 30.0):
+    flows = (10.0, 15.0, 20.0, 25.0, 30.0)
+    for flow in flows:
         model.steady_state(powers, flow)
-    assert len(model._steady_amg_solvers) == 2
-    assert set(model._steady_warm) == set(model._steady_amg_solvers)
+    assert len(bank) == 2 and model.steady_cache_info().currsize == 2
+    for flow in flows[:-2]:
+        assert amg_key(model._steady_bank_key(flow)) not in bank
+    kept = [bank.get(amg_key(model._steady_bank_key(f))) for f in flows[-2:]]
+    assert all(entry.warm is not None for entry in kept)
+    # Entries are sized from their hierarchies' matrices.
+    assert bank.resident_bytes == sum(entry.solver.nbytes for entry in kept)
+    assert all(
+        entry.solver.nbytes > entry.solver.matrix.data.nbytes
+        for entry in kept
+    )
+
+
+def test_cache_info_counts_amg_hierarchies(liquid_stack_2tier):
+    """Steady and transient occupancy include the cached hierarchies."""
+    model = CompactThermalModel(
+        liquid_stack_2tier, nx=12, ny=10, solver="amg"
+    )
+    powers = {ref: 2.0 for ref in model.block_order}
+    for flow in (20.0, 40.0):
+        model.steady_state(powers, flow)
+    assert model.steady_cache_info().currsize == 2
+    assert model.steady_stats.direct_solves == 0
+
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
+    for flow in (20.0, 40.0, 20.0):
+        model.set_flow(flow)
+        stepper.step(powers)
+    info = stepper.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    assert stepper.stats.direct_solves == 0
+    assert stepper.evict_factor() and stepper.cache_info().currsize == 1
+
+
+def test_steady_amg_residual_is_computed_once(liquid_stack_2tier, monkeypatch):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "relative_residual", None)
+        if name.startswith("repro.thermal") and original is not None:
+
+            def counted(*args, _original=original):
+                calls.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "relative_residual", counted)
+    model = CompactThermalModel(
+        liquid_stack_2tier,
+        nx=12,
+        ny=10,
+        solver="amg",
+        guard=SolverGuard(residual_tolerance=1e-6),
+    )
+    model.steady_state({ref: 2.0 for ref in model.block_order})
+    assert model.last_steady_diagnostics.method == "bicgstab+amg"
+    assert model.last_steady_diagnostics.residual_norm < 1e-6
+    assert len(calls) == 1
 
 
 def test_amg_setup_telemetry(liquid_stack_2tier):

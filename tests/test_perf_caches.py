@@ -3,7 +3,7 @@
 Covers the performance plumbing added around the thermal model: the
 steady-factor LRU cache (keyed on flow signatures, so flow changes can
 never serve stale factorisations), the transient stepper's factor
-cache statistics, the packed power-injection fast path, and the
+cache statistics and fixed bounds, the packed power-injection fast path, and the
 capacitance-fill regression with equal-comparing stack elements.
 """
 
@@ -13,6 +13,8 @@ import pytest
 from repro.geometry import build_3d_mpsoc
 from repro.geometry.stack import Layer
 from repro.thermal import CompactThermalModel, TransientStepper
+from repro.thermal.bank import FactorBank
+from repro.thermal.solver import TRANSIENT_CACHE_ENTRIES
 
 
 def _model(tiers: int = 2, **kwargs) -> CompactThermalModel:
@@ -106,7 +108,7 @@ def test_uniform_override_and_signature_keys_coexist():
 
 
 def test_steady_cache_lru_eviction():
-    model = _model(max_steady_factors=2)
+    model = _model(bank=FactorBank(max_entries=2))
     powers = _powers(model)
     for flow in (20.0, 40.0, 60.0):
         model.steady_state(powers, flow_ml_min=flow)
@@ -164,16 +166,18 @@ def test_stepper_cache_info_counts():
 def test_stepper_cache_eviction_bound():
     model = _model()
     powers = _powers(model)
-    stepper = TransientStepper(
-        model, 0.1, model.uniform_field(300.0), max_cached_factors=1
-    )
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
     base_flow = model.flow_ml_min
-    for flow in (base_flow, base_flow / 2.0, base_flow):
+    flows = [base_flow / (1.0 + k) for k in range(TRANSIENT_CACHE_ENTRIES + 1)]
+    for flow in flows + [base_flow]:
         model.set_flow(flow)
         stepper.step(powers)
     info = stepper.cache_info()
-    # Only one slot: the ping-pong refactorises every time.
-    assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
+    # One flow more than the bound: the first one was evicted, so
+    # returning to it refactorises.
+    assert (info.hits, info.misses, info.currsize) == (
+        0, TRANSIENT_CACHE_ENTRIES + 2, TRANSIENT_CACHE_ENTRIES
+    )
 
 
 def test_step_packed_matches_dict_step_bitwise():
@@ -206,53 +210,29 @@ def test_pack_powers_validates_and_accumulates():
 
 
 # ---------------------------------------------------------------------------
-# configurable LU cache sizes (REPRO_LU_CACHE_SIZE)
+# fixed cache bounds and occupancy gauges
 # ---------------------------------------------------------------------------
-
-
-def test_lu_cache_size_env_overrides_defaults(monkeypatch):
-    from repro.obs.metrics import get_registry
-    from repro.thermal.model import LU_CACHE_SIZE_ENV, lu_cache_size
-
-    monkeypatch.delenv(LU_CACHE_SIZE_ENV, raising=False)
-    assert lu_cache_size(8) == 8
-    monkeypatch.setenv(LU_CACHE_SIZE_ENV, "3")
-    assert lu_cache_size(8) == 3 and lu_cache_size(16) == 3
-
-    model = _model()
-    assert model.steady_cache_info().maxsize == 3
-    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
-    assert stepper.cache_info().maxsize == 3
-    registry = get_registry()
-    assert registry.gauge("thermal.steady_cache.maxsize").value == 3
-    assert registry.gauge("thermal.transient_cache.maxsize").value == 3
-
-
-def test_lu_cache_size_explicit_argument_wins(monkeypatch):
-    from repro.thermal.model import LU_CACHE_SIZE_ENV
-
-    monkeypatch.setenv(LU_CACHE_SIZE_ENV, "3")
-    model = _model(max_steady_factors=5)
-    assert model.steady_cache_info().maxsize == 5
-    stepper = TransientStepper(
-        model, 0.1, model.uniform_field(300.0), max_cached_factors=7
-    )
-    assert stepper.cache_info().maxsize == 7
 
 
 @pytest.mark.parametrize("raw", ["0", "-2", "junk", ""])
 def test_lu_cache_size_rejects_bad_env(monkeypatch, raw):
-    from repro.thermal.model import LU_CACHE_SIZE_ENV, lu_cache_size
+    """The retired REPRO_LU_CACHE_SIZE leaves the constant bounds alone."""
+    from repro.thermal.model import STEADY_CACHE_ENTRIES
 
-    monkeypatch.setenv(LU_CACHE_SIZE_ENV, raw)
-    assert lu_cache_size(8) == 8
+    monkeypatch.setenv("REPRO_LU_CACHE_SIZE", raw)
+    model = _model()
+    assert model.steady_cache_info().maxsize == STEADY_CACHE_ENTRIES
+    assert model.factor_bank.max_entries == STEADY_CACHE_ENTRIES
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
+    assert stepper.cache_info().maxsize == TRANSIENT_CACHE_ENTRIES
+    assert stepper._bank.max_entries == TRANSIENT_CACHE_ENTRIES
 
 
 def test_cache_occupancy_gauges_track_inserts_and_evictions():
     from repro.obs.metrics import get_registry
 
     registry = get_registry()
-    model = _model(max_steady_factors=1)
+    model = _model(bank=FactorBank(max_entries=1))
     powers = _powers(model)
     model.steady_state(powers)
     assert registry.gauge("thermal.steady_cache.currsize").value == 1
@@ -263,8 +243,6 @@ def test_cache_occupancy_gauges_track_inserts_and_evictions():
     model.clear_steady_cache()
     assert registry.gauge("thermal.steady_cache.currsize").value == 0
 
-    stepper = TransientStepper(
-        model, 0.1, model.uniform_field(300.0), max_cached_factors=2
-    )
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
     stepper.step(powers)
     assert registry.gauge("thermal.transient_cache.currsize").value == 1

@@ -15,6 +15,7 @@ from repro.core.policies import LiquidLoadBalancing
 from repro.core.simulator import SystemSimulator
 from repro.thermal import (
     CompactThermalModel,
+    NonFiniteFieldError,
     SolverGuard,
     ThermalInputError,
     ThermalSolveError,
@@ -139,6 +140,26 @@ def test_unrecoverable_steady_failure_carries_diagnostics(
     assert diagnostics is not None
     assert not diagnostics.finite
     assert diagnostics.factor_evictions == 1
+
+
+def test_steady_residual_failure_retries_once_then_raises(
+    liquid_stack_2tier, uniform_core_powers
+):
+    # No double-precision solve meets this tolerance, so the refactorised
+    # retry fails too and the taxonomy error carries the residual.
+    model = CompactThermalModel(
+        liquid_stack_2tier,
+        nx=12,
+        ny=10,
+        guard=SolverGuard(residual_tolerance=1e-300),
+    )
+    with pytest.raises(NonFiniteFieldError, match="residual") as excinfo:
+        model.steady_state(uniform_core_powers)
+    diagnostics = excinfo.value.diagnostics
+    assert diagnostics.finite
+    assert diagnostics.residual_norm > 1e-300
+    assert diagnostics.factor_evictions == 1
+    assert model.steady_cache_info().misses == 2
 
 
 def test_steady_diagnostics_healthy_with_residual_check(

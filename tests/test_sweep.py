@@ -1,4 +1,4 @@
-"""The sweep engine: batched steady solves and simulation fan-out."""
+"""The sweep engine: steady sweeps and simulation fan-out."""
 
 import os
 import time
@@ -17,6 +17,7 @@ from repro.analysis import (
 from repro.core import paper_policies
 from repro.geometry import build_3d_mpsoc
 from repro.scenario import Scenario
+from repro.scenario.runner import build_model
 from repro.thermal import CompactThermalModel, CoolingDryoutError
 from repro.workload import paper_workload_suite
 
@@ -43,6 +44,24 @@ def test_steady_sweep_matches_point_by_point_bitwise():
     for case, field in zip(cases, swept):
         direct = model.steady_state(dict(case.block_powers), case.flow_ml_min)
         assert np.array_equal(field.values, direct.values)
+
+
+def test_steady_sweep_is_steady_state_on_twophase_and_amg_models():
+    """The sweep keeps the dynamic two-phase rhs and the model's backend."""
+    specs = Path(__file__).resolve().parent.parent / "examples" / "specs"
+    model = build_model(Scenario.load(specs / "two_tier_twophase.json"))
+    powers = {ref: 3.0 for ref in model.block_order}
+    model.update_cooling(model.pack_powers(powers))
+    assert model.cooling_rhs() is not None
+    [swept] = SteadySweep(model).solve([SteadyCase(powers)])
+    assert np.array_equal(swept.values, model.steady_state(powers).values)
+
+    amg = CompactThermalModel(build_3d_mpsoc(2), nx=12, ny=10, solver="amg")
+    SteadySweep(amg).solve(_cases(amg, [None, 30.0]))
+    assert amg.steady_stats.amg_solves == 2
+    assert amg.steady_stats.direct_solves == 0
+    lu_keys = [amg._steady_bank_key(flow) for flow in (None, 30.0)]
+    assert not any(key in amg.factor_bank for key in lu_keys)
 
 
 def test_steady_sweep_factorises_once_per_flow():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.thermal import CompactThermalModel, TransientStepper
 from repro.thermal.reference import dense_transient
+from repro.thermal.solver import TRANSIENT_CACHE_ENTRIES
 
 
 def core_powers(stack, watts=5.0):
@@ -73,13 +74,11 @@ def test_lu_cache_one_factor_per_flow_setting(
 def test_lru_eviction_bounds_cache(liquid_model_coarse, liquid_stack_2tier):
     model = liquid_model_coarse
     powers = core_powers(liquid_stack_2tier)
-    stepper = TransientStepper(
-        model, dt=0.1, initial=model.uniform_field(300.15), max_cached_factors=2
-    )
-    for flow in (10.0, 15.0, 20.0, 25.0):
-        model.set_flow(flow)
+    stepper = TransientStepper(model, dt=0.1, initial=model.uniform_field(300.15))
+    for k in range(TRANSIENT_CACHE_ENTRIES + 2):
+        model.set_flow(10.0 + k)
         stepper.step(powers)
-    assert stepper.cached_factor_count == 2
+    assert stepper.cached_factor_count == TRANSIENT_CACHE_ENTRIES
 
 
 def test_time_advances(liquid_model_coarse, liquid_stack_2tier):
@@ -94,13 +93,6 @@ def test_invalid_parameters_rejected(liquid_model_coarse):
     with pytest.raises(ValueError):
         TransientStepper(
             liquid_model_coarse, dt=0.0, initial=liquid_model_coarse.uniform_field(300.0)
-        )
-    with pytest.raises(ValueError):
-        TransientStepper(
-            liquid_model_coarse,
-            dt=0.1,
-            initial=liquid_model_coarse.uniform_field(300.0),
-            max_cached_factors=0,
         )
 
 
